@@ -7,7 +7,7 @@ that reproduces convergence tables on the periodic domain [0, 2*pi].
 """
 
 from .cases import CaseSpec, manufactured_case
-from .dg import DGOperator, dg_rhs
+from .dg import DGOperator
 from .exceptions import (
     BelowRoundoffError,
     DegenerateNodesError,
@@ -34,9 +34,7 @@ from .metrics import (
     compare_sv_dg,
     convergence_orders,
     error_report,
-    flux_superconv_errors,
     node_polynomial_extrema,
-    solution_superconv_errors,
 )
 from .poly import (
     InterpKind,
@@ -53,11 +51,10 @@ from .quadrature import (
     QuadratureRule,
     RuleKind,
     integrate_panel,
-    legendre_eval,
     make_rule,
 )
 from .study import StudyConfig, StudyResult, emit_table, run_single, run_study
-from .sv import SchemeConfig, SVOperator, cv_matrix, sv_rhs, upwind_interface_flux
+from .sv import SchemeConfig, SVOperator, cv_matrix
 from .timestep import integrate_to, rk4_step
 
 __version__ = "0.1.0"
@@ -96,25 +93,19 @@ __all__ = [
     "compare_sv_dg",
     "convergence_orders",
     "cv_matrix",
-    "dg_rhs",
     "emit_table",
     "error_report",
-    "flux_superconv_errors",
     "integrate_panel",
     "integrate_to",
     "interpolate",
     "interpolation_nodes",
-    "legendre_eval",
     "make_rule",
     "manufactured_case",
     "node_polynomial_extrema",
     "rk4_step",
     "run_single",
     "run_study",
-    "solution_superconv_errors",
-    "sv_rhs",
     "t_transform",
     "total_mass",
     "triple_norm",
-    "upwind_interface_flux",
 ]

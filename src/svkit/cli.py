@@ -13,12 +13,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .exceptions import NonFiniteError, SvkitError
+from .exceptions import InvalidConfigError, NonFiniteError, SvkitError
 from .study import StudyConfig, emit_table, run_study
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise InvalidConfigError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -65,7 +68,10 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise SvkitError(f"bad config line (expected key=value): {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key not in _FILE_PARSERS:
+            raise SvkitError(f"unknown config key {key!r} in {path}")
+        values[key] = value.strip()
     return values
 
 
@@ -89,7 +95,10 @@ def _merge(cli_value, file_values: dict, key: str, default):
     if cli_value is not None:
         return cli_value
     if key in file_values:
-        return _FILE_PARSERS[key](file_values[key])
+        try:
+            return _FILE_PARSERS[key](file_values[key])
+        except ValueError:
+            raise InvalidConfigError(f"bad value for {key!r}: {file_values[key]!r}") from None
     return default
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .exceptions import InvalidConfigError
 from .mesh import FluxCoefficient, Mesh1D
 from .poly import PiecewisePoly
-from .quadrature import MAX_ORDER, legendre_basis_deriv
+from .quadrature import MAX_ORDER, gauss_panel, legendre_basis_deriv
 from .sv import upwind_fluxes
 
 VOLUME_QUAD_EXTRA = 3  # (k+3)-point Gauss for the non-polynomial volume term
@@ -30,7 +30,7 @@ class DGOperator:
         self.source = source
 
         q = k + VOLUME_QUAD_EXTRA
-        sg, wg = np.polynomial.legendre.leggauss(q)
+        sg, wg = gauss_panel(q)
         basis, dbasis = legendre_basis_deriv(k, sg)     # (q, k+1) each
         self._basis = basis
         self._wd = wg[:, None] * dbasis                  # rows weighted by w_q
@@ -65,8 +65,3 @@ class DGOperator:
         if self.source is not None:
             rhs = rhs + self._source_moments(t)
         return PiecewisePoly(self.mesh, self.k, rhs * self._scale)
-
-
-def dg_rhs(u: PiecewisePoly, t: float, coeff: FluxCoefficient, g=None) -> PiecewisePoly:
-    """One-shot du/dt for the upwind DG scheme; loops should reuse a DGOperator."""
-    return DGOperator(u.mesh, u.k, coeff, g)(u, t)

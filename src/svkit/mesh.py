@@ -13,13 +13,13 @@ defining difference between the two spectral-volume variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .exceptions import InvalidConfigError
-from .quadrature import QuadratureRule, RuleKind, make_rule
+from .quadrature import RuleKind, make_rule
 
 DOMAIN_LENGTH = 2.0 * np.pi
 
@@ -41,7 +41,6 @@ class Mesh1D:
     """Strictly increasing breakpoints x_{1/2} .. x_{N+1/2} covering [0, 2*pi]."""
 
     breakpoints: np.ndarray
-    periodic: bool = True
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -142,19 +141,8 @@ class Partition:
     kinds: np.ndarray       # RuleKind value per element, as object array of enums
     subpoints: np.ndarray   # (N, k+2) domain coordinates, endpoints exact
     subweights: np.ndarray  # (N, k+2) scaled weights (h_i/2) * A_j
-    omega: np.ndarray       # element class 1/2/3
-
-    def rule(self, kind: RuleKind) -> QuadratureRule:
-        return make_rule(kind, self.k)
-
-    def element_groups(self) -> dict[RuleKind, np.ndarray]:
-        """Element indices grouped by rule kind (insertion order deterministic)."""
-        groups: dict[RuleKind, np.ndarray] = {}
-        for kind in (RuleKind.GAUSS, RuleKind.RADAU_RIGHT, RuleKind.RADAU_LEFT):
-            idx = np.nonzero(self.kinds == kind)[0]
-            if idx.size:
-                groups[kind] = idx
-        return groups
+    # Element indices per rule kind present, in the order Gauss, right Radau, left Radau.
+    groups: dict[RuleKind, np.ndarray]
 
 
 def build_partition(
@@ -185,10 +173,13 @@ def build_partition(
     half = 0.5 * mesh.sizes
     subpoints = np.empty((n, k + 2))
     subweights = np.empty((n, k + 2))
+    groups: dict[RuleKind, np.ndarray] = {}
     for kind in (RuleKind.GAUSS, RuleKind.RADAU_RIGHT, RuleKind.RADAU_LEFT):
         idx = np.nonzero(kinds == kind)[0]
         if not idx.size:
             continue
+        idx.setflags(write=False)
+        groups[kind] = idx
         rule = make_rule(kind, k)
         subpoints[idx] = centers[idx, None] + half[idx, None] * rule.points[None, :]
         subweights[idx] = half[idx, None] * rule.weights[None, :]
@@ -196,7 +187,7 @@ def build_partition(
     subpoints[:, 0] = mesh.breakpoints[:-1]
     subpoints[:, -1] = mesh.breakpoints[1:]
 
-    for arr in (kinds, subpoints, subweights, omega):
+    for arr in (kinds, subpoints, subweights):
         arr.setflags(write=False)
     return Partition(
         mesh=mesh,
@@ -206,5 +197,5 @@ def build_partition(
         kinds=kinds,
         subpoints=subpoints,
         subweights=subweights,
-        omega=omega,
+        groups=groups,
     )

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import BelowRoundoffError
-from .mesh import FluxCoefficient, Partition
+from .mesh import FluxCoefficient, Mesh1D, Partition
 from .poly import (
     InterpKind,
     PiecewisePoly,
@@ -24,6 +24,7 @@ from .poly import (
     interpolate,
     interpolation_nodes,
 )
+from .quadrature import gauss_panel
 from .sv import upwind_fluxes
 
 _BISECT_STEPS = 60
@@ -131,48 +132,11 @@ class ErrorReport:
                 yield name, value
 
 
-def _quad_grid(partition: Partition, extra: int = 3):
-    mesh = partition.mesh
-    sg, wg = np.polynomial.legendre.leggauss(partition.k + extra)
+def _quad_grid(mesh: Mesh1D, k: int):
+    """(k+3)-point Gauss panel and its (N, k+3) image in every element."""
+    sg, wg = gauss_panel(k + 3)
     x = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg[None, :]
     return sg, wg, x
-
-
-def flux_superconv_errors(
-    u_h: PiecewisePoly,
-    u: Callable,
-    u_x: Callable,
-    coeff: FluxCoefficient,
-    partition: Partition,
-) -> tuple[float, float, float, float, float]:
-    """Flux-side functionals (gap L2, cell RMS, node RMS, interface RMS, deriv RMS)."""
-    parts = _functional_parts(u_h, u, u_x, coeff, partition)
-    return (
-        parts["flux_gap_l2"],
-        parts["flux_cell_rms"],
-        parts["flux_node_rms"],
-        parts["flux_iface_rms"],
-        parts["flux_deriv_rms"],
-    )
-
-
-def solution_superconv_errors(
-    u_h: PiecewisePoly,
-    u: Callable,
-    u_x: Callable,
-    partition: Partition,
-    coeff: FluxCoefficient,
-) -> tuple[float, float, float, float, float, float]:
-    """Solution-side functionals (gap L2, cell, node, interface, value/deriv at extrema)."""
-    parts = _functional_parts(u_h, u, u_x, coeff, partition)
-    return (
-        parts["gap_l2"],
-        parts["cell_rms"],
-        parts["node_rms"],
-        parts["iface_rms"],
-        parts["extrema_value_rms"],
-        parts["extrema_deriv_rms"],
-    )
 
 
 def _functional_parts(u_h, u, u_x, coeff, partition) -> dict[str, float]:
@@ -196,7 +160,7 @@ def _functional_parts(u_h, u, u_x, coeff, partition) -> dict[str, float]:
     out["iface_rms"] = float(np.sqrt(np.mean((u_if - uhat) ** 2)))
 
     # Cell averages of the mismatch, flux-weighted and plain.
-    sg, wg, xq = _quad_grid(partition)
+    sg, wg, xq = _quad_grid(mesh, k)
     mismatch = np.asarray(u(xq), dtype=float) - u_h.eval_ref(sg)
     aq = np.asarray(coeff.alpha(xq), dtype=float)
     out["flux_cell_rms"] = float(np.sqrt(np.mean((0.5 * ((aq * mismatch) @ wg)) ** 2)))
@@ -227,8 +191,7 @@ def compare_sv_dg(
     diff = u_sv - u_dg
     l2 = broken_norm(diff, "l2")
     mesh = u_sv.mesh
-    sg, wg = np.polynomial.legendre.leggauss(u_sv.k + 3)
-    xq = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg[None, :]
+    sg, wg, xq = _quad_grid(mesh, u_sv.k)
     aq = np.asarray(coeff.alpha(xq), dtype=float)
     flux_cell = 0.5 * ((aq * diff.eval_ref(sg)) @ wg)
     cell = diff.coeffs[:, 0]

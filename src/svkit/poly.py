@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .exceptions import DegenerateNodesError, OutOfDomainError
 from .mesh import DOMAIN_LENGTH, FluxCoefficient, Mesh1D, Partition
-from .quadrature import RuleKind, legendre_basis, legendre_basis_deriv, make_rule
+from .quadrature import gauss_panel, legendre_basis, legendre_basis_deriv, make_rule
 
 _BREAKPOINT_TOL = 1e-12
 LINF_SAMPLES = 21
@@ -230,7 +229,7 @@ def interpolation_nodes(
     centers = partition.mesh.centers
     half = 0.5 * partition.mesh.sizes
     s_nodes = np.empty((n, k + 1))
-    for rule_kind, idx in partition.element_groups().items():
+    for rule_kind, idx in partition.groups.items():
         rule = make_rule(rule_kind, k)
         for ik in (InterpKind.MINUS, InterpKind.PLUS, InterpKind.PLUS_MINUS):
             sel = idx[ikinds[idx] == ik]
@@ -263,17 +262,15 @@ def interpolate(
     fx = np.asarray(f(nodes.x), dtype=float)
 
     # Solve the Legendre Vandermonde system once per distinct reference node set.
-    done = np.zeros(partition.mesh.n_elements, dtype=bool)
-    for rule_kind, idx in partition.element_groups().items():
+    for idx in partition.groups.values():
         for ik in (InterpKind.MINUS, InterpKind.PLUS, InterpKind.PLUS_MINUS):
-            sel = idx[(nodes.kinds[idx] == ik) & ~done[idx]]
+            sel = idx[nodes.kinds[idx] == ik]
             if not sel.size:
                 continue
             ref = nodes.s[sel[0]]
             vand = legendre_basis(k, ref)           # (k+1, k+1), rows are nodes
             inv = np.linalg.inv(vand)
             coeffs[sel] = fx[sel] @ inv.T
-            done[sel] = True
     return PiecewisePoly(partition.mesh, k, coeffs)
 
 
@@ -301,7 +298,7 @@ def t_transform(w: PiecewisePoly, partition: Partition) -> PiecewiseConstant:
     k = partition.k
     # w_x at all k+2 partition points, grouped by rule kind.
     wx = np.empty((w.mesh.n_elements, k + 2))
-    for rule_kind, idx in partition.element_groups().items():
+    for rule_kind, idx in partition.groups.items():
         rule = make_rule(rule_kind, k)
         _, dbasis = legendre_basis_deriv(k, rule.points)
         wx[idx] = (w.coeffs[idx] @ dbasis.T) * (2.0 / w.mesh.sizes[idx, None])
@@ -335,7 +332,7 @@ def cv_integrals(u: PiecewisePoly, partition: Partition) -> np.ndarray:
     k = partition.k
     out = np.empty((u.mesh.n_elements, k + 1))
     half = 0.5 * u.mesh.sizes
-    for rule_kind, idx in partition.element_groups().items():
+    for rule_kind, idx in partition.groups.items():
         m = cv_matrix(make_rule(rule_kind, k)).matrix
         out[idx] = (u.coeffs[idx] @ m.T) * half[idx, None]
     return out
@@ -360,12 +357,6 @@ def triple_norm(u: PiecewisePoly, partition: Partition) -> float:
 # -- norms ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _panel(m: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    return nodes, weights
-
-
 def broken_norm(
     u: PiecewisePoly,
     kind: str = "l2",
@@ -383,7 +374,7 @@ def broken_norm(
     mesh = u.mesh
     if kind == "l2":
         q = quad_points if quad_points is not None else u.k + 3
-        s, wq = _panel(q)
+        s, wq = gauss_panel(q)
     elif kind == "linf":
         s = np.linspace(-1.0, 1.0, LINF_SAMPLES)
     else:

@@ -65,14 +65,6 @@ def legendre_basis_deriv(k: int, s) -> tuple[np.ndarray, np.ndarray]:
     return vals, der
 
 
-def legendre_eval(k: int, s: float) -> tuple[float, float]:
-    """Value and derivative of the degree-k Legendre polynomial at ``s``."""
-    if k < 0:
-        raise InvalidConfigError(f"polynomial degree must be >= 0, got {k}")
-    vals, der = legendre_basis_deriv(k, float(s))
-    return float(vals[..., k]), float(der[..., k])
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Reference-interval node/weight set of one of the three kinds."""
@@ -92,8 +84,12 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-def _gauss_panel(m: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def gauss_panel(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1], read-only."""
     nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 
@@ -146,7 +142,7 @@ def _newton_interior(kind: RuleKind, k: int) -> np.ndarray:
 
 def _cardinal_weights(nodes: np.ndarray, panel: int) -> np.ndarray:
     """Weights A_j = integral over [-1,1] of the Lagrange cardinal at nodes[j]."""
-    sg, wg = _gauss_panel(panel)
+    sg, wg = gauss_panel(panel)
     weights = np.empty(nodes.size)
     for j, node in enumerate(nodes):
         others = np.delete(nodes, j)
@@ -193,7 +189,7 @@ def integrate_panel(f, a: float, b: float, m: int) -> float:
         raise InvalidConfigError(f"interval must satisfy a < b, got [{a}, {b}]")
     if m < 1:
         raise InvalidConfigError(f"point count must be >= 1, got {m}")
-    sg, wg = _gauss_panel(m)
+    sg, wg = gauss_panel(m)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return half * float(np.dot(wg, np.asarray(f(mid + half * sg), dtype=float)))

@@ -8,11 +8,8 @@ started from the identical interpolated initial state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .cases import CaseSpec, manufactured_case
 from .dg import DGOperator
@@ -20,7 +17,7 @@ from .exceptions import InvalidConfigError
 from .mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from .metrics import ErrorReport, convergence_orders, error_report
 from .poly import InterpKind, interpolate
-from .quadrature import RuleKind
+from .quadrature import MAX_ORDER, RuleKind
 from .sv import SchemeConfig, SVOperator
 from .timestep import integrate_to
 
@@ -56,8 +53,16 @@ class StudyConfig:
         for s in self.schemes:
             if s not in SCHEME_NAMES:
                 raise InvalidConfigError(f"unknown scheme {s!r}")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise InvalidConfigError(f"schemes must not repeat, got {self.schemes}")
         self.k_values = tuple(int(k) for k in self.k_values)
+        if len(set(self.k_values)) != len(self.k_values):
+            raise InvalidConfigError(f"orders must not repeat, got {self.k_values}")
+        if any(not 1 <= k <= MAX_ORDER for k in self.k_values):
+            raise InvalidConfigError(f"orders must lie in [1, {MAX_ORDER}], got {self.k_values}")
         self.n_values = tuple(int(n) for n in self.n_values)
+        if not (self.schemes and self.k_values and self.n_values):
+            raise InvalidConfigError("schemes, orders and resolutions must not be empty")
         if any(n < 4 for n in self.n_values):
             raise InvalidConfigError("all resolutions must satisfy n >= 4")
         if list(self.n_values) != sorted(set(self.n_values)):
@@ -111,7 +116,7 @@ def run_single(
     else:
         variant = Scheme.RSV if scheme == "rsv" else Scheme.LSV
         partition = build_partition(mesh, k, variant, coeff, tie_break)
-        config = SchemeConfig(k=k, variant=variant, tie_break=tie_break)
+        config = SchemeConfig(k=k, variant=variant)
         operator = SVOperator(config, partition, coeff, case.source)
 
     u0 = interpolate(case.u0, partition, coeff, InterpKind.AUTO)
@@ -158,19 +163,26 @@ def run_study(config: StudyConfig) -> StudyResult:
                 )
 
     result = StudyResult(reports=reports)
-    for scheme in config.schemes:
-        for k in config.k_values:
-            series = [r for r in reports if r.scheme == scheme and r.k == k]
-            series.sort(key=lambda r: r.n)
-            for metric in ErrorReport.METRIC_FIELDS:
-                values = [(r.n, getattr(r, metric)) for r in series]
-                if any(v is None for _, v in values) or len(values) < 2:
-                    continue
-                if any(v <= 1e-15 for _, v in values):
-                    continue  # below roundoff; leave the order column empty
-                orders = convergence_orders(values)
-                result.orders[(scheme, k, metric)] = [None, *orders]
+    for (scheme, k), series in _series(reports).items():
+        for metric in ErrorReport.METRIC_FIELDS:
+            values = [(r.n, getattr(r, metric)) for r in series]
+            if any(v is None for _, v in values) or len(values) < 2:
+                continue
+            if any(v <= 1e-15 for _, v in values):
+                continue  # below roundoff; leave the order column empty
+            orders = convergence_orders(values)
+            result.orders[(scheme, k, metric)] = [None, *orders]
     return result
+
+
+def _series(reports: list[ErrorReport]) -> dict[tuple[str, int], list[ErrorReport]]:
+    """Reports grouped by (scheme, k) in first-seen order, each series sorted by n."""
+    groups: dict[tuple[str, int], list[ErrorReport]] = {}
+    for r in reports:
+        groups.setdefault((r.scheme, r.k), []).append(r)
+    for series in groups.values():
+        series.sort(key=lambda r: r.n)
+    return groups
 
 
 def _fmt_value(v: float) -> str:
@@ -183,16 +195,7 @@ def _fmt_order(o: float | None) -> str:
 
 def _csv_lines(result: StudyResult) -> list[str]:
     lines = ["scheme,k,n,T,metric,value,order"]
-    seen = []
-    for r in result.reports:
-        key = (r.scheme, r.k)
-        if key not in seen:
-            seen.append(key)
-    for scheme, k in seen:
-        series = sorted(
-            (r for r in result.reports if r.scheme == scheme and r.k == k),
-            key=lambda r: r.n,
-        )
+    for (scheme, k), series in _series(result.reports).items():
         for metric in ErrorReport.METRIC_FIELDS:
             if getattr(series[0], metric) is None:
                 continue
@@ -207,16 +210,7 @@ def _csv_lines(result: StudyResult) -> list[str]:
 
 def _markdown_lines(result: StudyResult) -> list[str]:
     lines: list[str] = []
-    seen = []
-    for r in result.reports:
-        key = (r.scheme, r.k)
-        if key not in seen:
-            seen.append(key)
-    for scheme, k in seen:
-        series = sorted(
-            (r for r in result.reports if r.scheme == scheme and r.k == k),
-            key=lambda r: r.n,
-        )
+    for (scheme, k), series in _series(result.reports).items():
         metrics = [m for m in ErrorReport.METRIC_FIELDS if getattr(series[0], m) is not None]
         lines.append(f"## {scheme.upper()}, k = {k}")
         lines.append("")

@@ -4,49 +4,47 @@ Each element imposes the integral conservation statement on its k+1 control
 volumes.  Fluxes at interior control-volume faces use the single-valued
 in-element polynomial; fluxes at element interfaces use the upwind trace.  The
 degree-k polynomial is recovered from its k+1 control-volume integrals by one
-LU-factorized reference solve per rule kind.
+reference inverse per rule kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .exceptions import InvalidConfigError, SingularMatrixError
 from .mesh import FluxCoefficient, Partition, Scheme
 from .poly import PiecewisePoly
-from .quadrature import MAX_ORDER, QuadratureRule, RuleKind, legendre_basis, make_rule
+from .quadrature import (
+    MAX_ORDER,
+    QuadratureRule,
+    RuleKind,
+    gauss_panel,
+    legendre_basis,
+    make_rule,
+)
 
 _COND_LIMIT = 1e8
+SOURCE_QUAD_EXTRA = 2  # (k+2)-point Gauss per control volume for the source integrals
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Order, variant, and quadrature settings for one spectral-volume run."""
+    """Order and variant of one spectral-volume run."""
 
     k: int
     variant: Scheme
-    tie_break: RuleKind = RuleKind.RADAU_RIGHT
-    source_quad_points: int | None = None  # default k+2 per control volume
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_ORDER:
             raise InvalidConfigError(f"order k must lie in [1, {MAX_ORDER}], got {self.k}")
-        q = self.resolved_source_quad()
-        if q < self.k + 1:
-            raise InvalidConfigError(
-                f"source quadrature needs at least k+1 = {self.k + 1} points, got {q}"
-            )
-
-    def resolved_source_quad(self) -> int:
-        return self.source_quad_points if self.source_quad_points is not None else self.k + 2
 
 
 @dataclass(frozen=True)
 class ControlVolumeMatrix:
-    """Reference matrix of Legendre moments over control volumes, pre-factorized.
+    """Reference matrix of Legendre moments over control volumes, with its inverse.
 
     ``matrix[j, m]`` is the integral of L_m over [s_j, s_{j+1}]; columns are
     computed exactly from the Legendre antiderivative identity.
@@ -55,7 +53,6 @@ class ControlVolumeMatrix:
     kind: RuleKind
     k: int
     matrix: np.ndarray
-    lu: tuple
     inverse: np.ndarray
 
 
@@ -69,31 +66,24 @@ def _legendre_antiderivative_table(k: int, s: np.ndarray) -> np.ndarray:
     return table
 
 
-_CV_CACHE: dict[tuple[RuleKind, int], ControlVolumeMatrix] = {}
-
-
 def cv_matrix(rule: QuadratureRule) -> ControlVolumeMatrix:
     """Control-volume moment matrix for one rule, cached per (kind, order)."""
-    key = (rule.kind, rule.k)
-    cached = _CV_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _cv_matrix(rule.kind, rule.k)
 
-    anti = _legendre_antiderivative_table(rule.k, rule.points)
+
+@lru_cache(maxsize=None)
+def _cv_matrix(kind: RuleKind, k: int) -> ControlVolumeMatrix:
+    anti = _legendre_antiderivative_table(k, make_rule(kind, k).points)
     matrix = anti[1:] - anti[:-1]
     cond = np.linalg.cond(matrix)
     if not np.isfinite(cond) or cond >= _COND_LIMIT:
         raise SingularMatrixError(
-            f"control-volume matrix ill-conditioned ({cond:.2e}) for "
-            f"{rule.kind.value} k={rule.k}"
+            f"control-volume matrix ill-conditioned ({cond:.2e}) for {kind.value} k={k}"
         )
-    lu = lu_factor(matrix)
-    inverse = lu_solve(lu, np.eye(rule.k + 1))
+    inverse = np.linalg.inv(matrix)
     matrix.setflags(write=False)
     inverse.setflags(write=False)
-    result = ControlVolumeMatrix(kind=rule.kind, k=rule.k, matrix=matrix, lu=lu, inverse=inverse)
-    _CV_CACHE[key] = result
-    return result
+    return ControlVolumeMatrix(kind=kind, k=k, matrix=matrix, inverse=inverse)
 
 
 def upwind_fluxes(u: PiecewisePoly, coeff: FluxCoefficient) -> np.ndarray:
@@ -103,16 +93,6 @@ def upwind_fluxes(u: PiecewisePoly, coeff: FluxCoefficient) -> np.ndarray:
     a = coeff.interface_values[:-1]
     flux = np.where(a > 0.0, a * np.roll(um, 1), a * up)
     return np.concatenate([flux, flux[:1]])
-
-
-def upwind_interface_flux(u: PiecewisePoly, coeff: FluxCoefficient, index: int) -> float:
-    """Flux alpha * u-hat at interface ``index`` (periodic indexing)."""
-    n = u.mesh.n_elements
-    p = index % n
-    a = float(coeff.interface_values[p])
-    if a > 0.0:
-        return a * float(u.right_traces()[(p - 1) % n])
-    return a * float(u.left_traces()[p])
 
 
 class SVOperator:
@@ -148,7 +128,7 @@ class SVOperator:
         self._pos_if = self._a_if > 0.0
         self._two_over_h = 2.0 / mesh.sizes
 
-        self._groups = partition.element_groups()
+        self._groups = partition.groups
         self._vint = {}
         self._minv_t = {}
         for kind, idx in self._groups.items():
@@ -159,8 +139,7 @@ class SVOperator:
         self._a_int = np.asarray(coeff.alpha(partition.subpoints[:, 1 : k + 1]), dtype=float)
 
         if source is not None:
-            q = config.resolved_source_quad()
-            sg, wg = np.polynomial.legendre.leggauss(q)
+            sg, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
             sp = partition.subpoints  # (N, k+2)
             mid = 0.5 * (sp[:, 1:] + sp[:, :-1])[..., None]        # (N, k+1, 1)
             half = 0.5 * (sp[:, 1:] - sp[:, :-1])[..., None]       # (N, k+1, 1)
@@ -197,18 +176,3 @@ class SVOperator:
             out[idx] = residual[idx] @ self._minv_t[kind]
         out *= self._two_over_h[:, None]
         return PiecewisePoly(self._mesh, self._k, out)
-
-
-def sv_rhs(
-    u: PiecewisePoly,
-    t: float,
-    config: SchemeConfig,
-    partition: Partition,
-    coeff: FluxCoefficient,
-    g=None,
-) -> PiecewisePoly:
-    """One-shot du/dt evaluation; builds a fresh operator each call.
-
-    Time-stepping loops should construct an :class:`SVOperator` once instead.
-    """
-    return SVOperator(config, partition, coeff, g)(u, t)

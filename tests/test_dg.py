@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from svkit.cases import manufactured_case
-from svkit.dg import DGOperator, dg_rhs
+from svkit.dg import DGOperator
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate
-from svkit.sv import SchemeConfig, sv_rhs
+from svkit.sv import SchemeConfig, SVOperator
 from svkit.timestep import integrate_to
 
 
@@ -24,7 +24,7 @@ def test_constant_state_preserved():
     coeffs = np.zeros((5, 3))
     coeffs[:, 0] = 1.25
     u = PiecewisePoly(mesh, 2, coeffs)
-    out = dg_rhs(u, 0.0, coeff)
+    out = DGOperator(mesh, 2, coeff)(u, 0.0)
     assert np.max(np.abs(out.coeffs)) < 1e-13
 
 
@@ -33,7 +33,7 @@ def test_global_mass_conserved(k):
     mesh = build_mesh(8, 0.2, seed=2)
     coeff = FluxCoefficient(np.sin, mesh)
     u = _random_poly(mesh, k, 7)
-    out = dg_rhs(u, 0.0, coeff)
+    out = DGOperator(mesh, k, coeff)(u, 0.0)
     assert abs(np.dot(mesh.sizes, out.coeffs[:, 0])) < 1e-12 * broken_norm(u)
 
 
@@ -42,8 +42,8 @@ def test_matches_rsv_for_constant_coefficient():
     coeff = _constant_coeff(mesh)
     part = build_partition(mesh, 3, Scheme.RSV, coeff)
     u = _random_poly(mesh, 3, 9)
-    dg = dg_rhs(u, 0.0, coeff)
-    sv = sv_rhs(u, 0.0, SchemeConfig(3, Scheme.RSV), part, coeff)
+    dg = DGOperator(mesh, 3, coeff)(u, 0.0)
+    sv = SVOperator(SchemeConfig(3, Scheme.RSV), part, coeff)(u, 0.0)
     assert np.max(np.abs(dg.coeffs - sv.coeffs)) < 1e-12 * broken_norm(u)
 
 
@@ -52,8 +52,9 @@ def test_linearity():
     coeff = FluxCoefficient(np.sin, mesh)
     u = _random_poly(mesh, 2, 1)
     v = _random_poly(mesh, 2, 2)
-    combined = dg_rhs(2.0 * u + -0.5 * v, 0.0, coeff)
-    split = 2.0 * dg_rhs(u, 0.0, coeff) + -0.5 * dg_rhs(v, 0.0, coeff)
+    op = DGOperator(mesh, 2, coeff)
+    combined = op(2.0 * u + -0.5 * v, 0.0)
+    split = 2.0 * op(u, 0.0) + -0.5 * op(v, 0.0)
     scale = max(1.0, float(np.max(np.abs(combined.coeffs))))
     assert np.max(np.abs(combined.coeffs - split.coeffs)) < 1e-12 * scale
 
@@ -67,7 +68,7 @@ def test_source_moments_match_projection():
     coeff = FluxCoefficient(case.alpha, mesh)
     u = PiecewisePoly.zeros(mesh, 2)
     t = 0.4
-    out = dg_rhs(u, t, coeff, case.source)
+    out = DGOperator(mesh, 2, coeff, case.source)(u, t)
     sg, wg = np.polynomial.legendre.leggauss(12)
     x = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg[None, :]
     g = case.source(x, t)

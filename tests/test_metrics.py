@@ -6,14 +6,7 @@ from hypothesis import strategies as st
 from svkit.cases import manufactured_case
 from svkit.exceptions import BelowRoundoffError
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
-from svkit.metrics import (
-    compare_sv_dg,
-    convergence_orders,
-    error_report,
-    flux_superconv_errors,
-    node_polynomial_extrema,
-    solution_superconv_errors,
-)
+from svkit.metrics import compare_sv_dg, convergence_orders, error_report, node_polynomial_extrema
 from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate
 
 
@@ -66,6 +59,12 @@ def test_extrema_interlace(nodes):
 # -- error functionals --------------------------------------------------------------
 
 
+FLUX_FIELDS = ("flux_gap_l2", "flux_cell_rms", "flux_node_rms", "flux_iface_rms", "flux_deriv_rms")
+SOLUTION_FIELDS = (
+    "gap_l2", "cell_rms", "node_rms", "iface_rms", "extrema_value_rms", "extrema_deriv_rms"
+)
+
+
 def _setup(n=16, k=2, seed=0):
     case = manufactured_case(1)
     mesh = build_mesh(n)
@@ -74,20 +73,23 @@ def _setup(n=16, k=2, seed=0):
     return case, mesh, coeff, part
 
 
+def _report(u_h, u, u_x, coeff, part):
+    return error_report(u_h, u, u_x, coeff, part, scheme="rsv", t_final=0.0)
+
+
 def test_functionals_vanish_on_interpolant():
     case, mesh, coeff, part = _setup()
     t = 0.7
     u = lambda x: case.u_exact(x, t)
     u_x = lambda x: case.u_x(x, t)
     u_h = interpolate(u, part, coeff, InterpKind.AUTO)
-    e_f, e_fc, e_fr, e_fn, e_fl = flux_superconv_errors(u_h, u, u_x, coeff, part)
-    assert e_f == pytest.approx(0.0, abs=1e-13)
-    assert e_fr == pytest.approx(0.0, abs=1e-12)
-    assert e_fn == pytest.approx(0.0, abs=1e-12)
-    e_u, e_uc, e_ur, e_un, _, _ = solution_superconv_errors(u_h, u, u_x, part, coeff)
-    assert e_u == pytest.approx(0.0, abs=1e-13)
-    assert e_ur == pytest.approx(0.0, abs=1e-12)
-    assert e_un == pytest.approx(0.0, abs=1e-12)
+    report = _report(u_h, u, u_x, coeff, part)
+    assert report.flux_gap_l2 == pytest.approx(0.0, abs=1e-13)
+    assert report.flux_node_rms == pytest.approx(0.0, abs=1e-12)
+    assert report.flux_iface_rms == pytest.approx(0.0, abs=1e-12)
+    assert report.gap_l2 == pytest.approx(0.0, abs=1e-13)
+    assert report.node_rms == pytest.approx(0.0, abs=1e-12)
+    assert report.iface_rms == pytest.approx(0.0, abs=1e-12)
 
 
 def test_flux_functionals_vanish_for_zero_coefficient():
@@ -97,10 +99,8 @@ def test_flux_functionals_vanish_for_zero_coefficient():
     rng = np.random.default_rng(1)
     u_h = PiecewisePoly(mesh, 2, rng.standard_normal((16, 3)))
     t = 0.2
-    vals = flux_superconv_errors(
-        u_h, lambda x: case.u_exact(x, t), lambda x: case.u_x(x, t), zero, part
-    )
-    assert all(v == pytest.approx(0.0, abs=1e-14) for v in vals)
+    report = _report(u_h, lambda x: case.u_exact(x, t), lambda x: case.u_x(x, t), zero, part)
+    assert all(getattr(report, f) == pytest.approx(0.0, abs=1e-14) for f in FLUX_FIELDS)
 
 
 def test_all_functionals_zero_for_exact_constant():
@@ -110,8 +110,8 @@ def test_all_functionals_zero_for_exact_constant():
     u_h = PiecewisePoly(mesh, 2, coeffs)
     const = lambda x: np.full_like(x, 2.5)
     zero_fn = lambda x: np.zeros_like(x)
-    vals = solution_superconv_errors(u_h, const, zero_fn, part, coeff)
-    assert all(v == pytest.approx(0.0, abs=1e-13) for v in vals)
+    report = _report(u_h, const, zero_fn, coeff, part)
+    assert all(getattr(report, f) == pytest.approx(0.0, abs=1e-13) for f in SOLUTION_FIELDS)
 
 
 def test_absolute_homogeneity():
@@ -124,15 +124,13 @@ def test_absolute_homogeneity():
     u_x = lambda x: case.u_x(x, t)
     base = interpolate(u, part, coeff, InterpKind.AUTO)
     lam = 3.0
-    f1 = flux_superconv_errors(base + d, u, u_x, coeff, part)
-    f2 = flux_superconv_errors(base + lam * d, u, u_x, coeff, part)
     # the interpolant part cancels: mismatch is exactly d (resp. lam*d) plus
     # the fixed interpolation gap; compare through differences of reports
-    s1 = solution_superconv_errors(base + d, u, u_x, part, coeff)
-    s2 = solution_superconv_errors(base + lam * d, u, u_x, part, coeff)
+    r1 = _report(base + d, u, u_x, coeff, part)
+    r2 = _report(base + lam * d, u, u_x, coeff, part)
     # gap_l2 (distance to the interpolant) is exactly homogeneous
-    assert s2[0] == pytest.approx(lam * s1[0], rel=1e-12)
-    assert f2[0] == pytest.approx(lam * f1[0], rel=1e-12)
+    assert r2.gap_l2 == pytest.approx(lam * r1.gap_l2, rel=1e-12)
+    assert r2.flux_gap_l2 == pytest.approx(lam * r1.flux_gap_l2, rel=1e-12)
 
 
 def test_gap_recomputed_independently():
@@ -202,10 +200,16 @@ def test_orders_non_dyadic():
     st.floats(min_value=1e-3, max_value=10.0),
 )
 def test_order_estimator_exact_on_power_laws(p, c):
+    # Both sides of the documented 1e-15 roundoff cut-off: exact orders above
+    # it, BelowRoundoffError as soon as any error reaches it.
     ns = [16, 32, 64, 128]
     errors = [(n, c * n ** (-p)) for n in ns]
-    for order in convergence_orders(errors):
-        assert order == pytest.approx(p, rel=1e-9)
+    if min(e for _, e in errors) > 1e-15:
+        for order in convergence_orders(errors):
+            assert order == pytest.approx(p, rel=1e-9)
+    else:
+        with pytest.raises(BelowRoundoffError):
+            convergence_orders(errors)
 
 
 def test_orders_reject_roundoff_and_bad_input():

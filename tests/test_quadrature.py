@@ -4,38 +4,32 @@ import numpy as np
 import pytest
 
 from svkit.exceptions import InvalidConfigError
-from svkit.quadrature import (
-    RuleKind,
-    integrate_panel,
-    legendre_basis_deriv,
-    legendre_eval,
-    make_rule,
-)
+from svkit.quadrature import RuleKind, integrate_panel, legendre_basis_deriv, make_rule
 
 ALL_KINDS = list(RuleKind)
 
 
 def test_legendre_constant():
-    value, deriv = legendre_eval(0, 0.37)
-    assert value == 1.0
-    assert deriv == 0.0
+    vals, ders = legendre_basis_deriv(0, 0.37)
+    assert vals[0] == 1.0
+    assert ders[0] == 0.0
 
 
 def test_legendre_normalization_at_one():
+    vals, _ = legendre_basis_deriv(12, 1.0)
     for k in range(13):
-        value, _ = legendre_eval(k, 1.0)
-        assert value == pytest.approx(1.0, abs=1e-14)
+        assert vals[k] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_legendre_quadratic_closed_form():
-    value, deriv = legendre_eval(2, 0.0)
-    assert value == pytest.approx(-0.5, abs=1e-15)
-    assert deriv == pytest.approx(0.0, abs=1e-15)
+    vals, ders = legendre_basis_deriv(2, 0.0)
+    assert vals[2] == pytest.approx(-0.5, abs=1e-15)
+    assert ders[2] == pytest.approx(0.0, abs=1e-15)
     # (3 s^2 - 1) / 2 at a generic point
     s = 0.731
-    value, deriv = legendre_eval(2, s)
-    assert value == pytest.approx((3 * s * s - 1) / 2, abs=1e-14)
-    assert deriv == pytest.approx(3 * s, abs=1e-14)
+    vals, ders = legendre_basis_deriv(2, s)
+    assert vals[2] == pytest.approx((3 * s * s - 1) / 2, abs=1e-14)
+    assert ders[2] == pytest.approx(3 * s, abs=1e-14)
 
 
 def test_basis_derivative_consistency():

@@ -23,6 +23,23 @@ def test_config_validation():
         StudyConfig(tie_break="center")
 
 
+def test_config_rejects_repeated_schemes():
+    with pytest.raises(InvalidConfigError):
+        StudyConfig(schemes=("rsv", "RSV"))
+
+
+def test_config_rejects_repeated_orders():
+    with pytest.raises(InvalidConfigError):
+        StudyConfig(k_values=(1, 2, 1))
+
+
+@pytest.mark.parametrize("k_values", [(1, 13), (0, 1)])
+def test_config_rejects_orders_out_of_range(k_values):
+    # Checked before any job runs, not when the first bad order is reached.
+    with pytest.raises(InvalidConfigError):
+        StudyConfig(k_values=k_values)
+
+
 def test_run_study_reports_and_orders():
     config = StudyConfig(example="1", schemes=("rsv",), k_values=(1,), **FAST)
     result = run_study(config)
@@ -155,6 +172,29 @@ def test_cli_rejects_bad_flags(tmp_path):
         main(["--example", "7"])
     assert main(["--scheme", "nope", "--n", "8", "--t-final", "0.1"]) == 1
     assert main(["--n", "2,4", "--t-final", "0.1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "abc"],
+        ["--k", "1,x", "--n", "8"],
+        ["--scheme", "rsv,rsv", "--k", "1", "--n", "8,16", "--t-final", "0.01"],
+        ["--k", "1,1", "--n", "8,16", "--t-final", "0.01"],
+        ["--k", ",", "--n", "8", "--t-final", "0.01"],
+    ],
+)
+def test_cli_rejects_bad_lists(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("svkit: ")
+
+
+@pytest.mark.parametrize("line", ["schemes = lsv", "seed = one"])
+def test_cli_rejects_bad_config_file(tmp_path, capsys, line):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"k = 1\nn = 8\n{line}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--t-final", "0.01"]) == 1
+    assert capsys.readouterr().err.startswith("svkit: ")
 
 
 def test_cli_reports_io_error(tmp_path):
