@@ -27,34 +27,27 @@ from .mesh import (
     Scheme,
     build_mesh,
     build_partition,
-    classify_elements,
 )
 from .metrics import (
     ErrorReport,
-    compare_sv_dg,
     convergence_orders,
     error_report,
-    node_polynomial_extrema,
 )
 from .poly import (
     InterpKind,
     PiecewisePoly,
     broken_norm,
-    cell_averages,
     interpolate,
-    interpolation_nodes,
-    t_transform,
     total_mass,
     triple_norm,
 )
 from .quadrature import (
     QuadratureRule,
     RuleKind,
-    integrate_panel,
     make_rule,
 )
 from .study import StudyConfig, StudyResult, emit_table, run_single, run_study
-from .sv import SchemeConfig, SVOperator, cv_matrix
+from .sv import SchemeConfig, SVOperator
 from .timestep import integrate_to, rk4_step
 
 __version__ = "0.1.0"
@@ -88,24 +81,16 @@ __all__ = [
     "broken_norm",
     "build_mesh",
     "build_partition",
-    "cell_averages",
-    "classify_elements",
-    "compare_sv_dg",
     "convergence_orders",
-    "cv_matrix",
     "emit_table",
     "error_report",
-    "integrate_panel",
     "integrate_to",
     "interpolate",
-    "interpolation_nodes",
     "make_rule",
     "manufactured_case",
-    "node_polynomial_extrema",
     "rk4_step",
     "run_single",
     "run_study",
-    "t_transform",
     "total_mass",
     "triple_norm",
 ]

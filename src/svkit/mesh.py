@@ -103,7 +103,6 @@ class FluxCoefficient:
 
     def __init__(self, alpha, mesh: Mesh1D):
         self.alpha = alpha
-        self.mesh = mesh
         vals = np.asarray(alpha(mesh.breakpoints), dtype=float).copy()
         vals[-1] = vals[0]  # periodic identification of x = 0 and x = 2*pi
         vals[np.abs(vals) <= ZERO_SNAP] = 0.0
@@ -112,9 +111,6 @@ class FluxCoefficient:
         signs.setflags(write=False)
         self.interface_values = vals
         self.interface_signs = signs
-
-    def __call__(self, x):
-        return self.alpha(x)
 
 
 def classify_elements(mesh: Mesh1D, coeff: FluxCoefficient) -> np.ndarray:
@@ -137,12 +133,10 @@ class Partition:
     mesh: Mesh1D
     k: int
     scheme: Scheme
-    tie_break: RuleKind
     kinds: np.ndarray       # RuleKind value per element, as object array of enums
+    ref_points: np.ndarray  # (N, k+2) abscissae of each element's rule on [-1, 1]
     subpoints: np.ndarray   # (N, k+2) domain coordinates, endpoints exact
     subweights: np.ndarray  # (N, k+2) scaled weights (h_i/2) * A_j
-    # Element indices per rule kind present, in the order Gauss, right Radau, left Radau.
-    groups: dict[RuleKind, np.ndarray]
 
 
 def build_partition(
@@ -169,33 +163,29 @@ def build_partition(
     else:
         raise InvalidConfigError(f"unknown scheme {scheme!r}")
 
-    centers = mesh.centers
-    half = 0.5 * mesh.sizes
-    subpoints = np.empty((n, k + 2))
-    subweights = np.empty((n, k + 2))
-    groups: dict[RuleKind, np.ndarray] = {}
-    for kind in (RuleKind.GAUSS, RuleKind.RADAU_RIGHT, RuleKind.RADAU_LEFT):
-        idx = np.nonzero(kinds == kind)[0]
-        if not idx.size:
-            continue
-        idx.setflags(write=False)
-        groups[kind] = idx
+    ref_points = np.empty((n, k + 2))
+    ref_weights = np.empty((n, k + 2))
+    for kind in RuleKind:
         rule = make_rule(kind, k)
-        subpoints[idx] = centers[idx, None] + half[idx, None] * rule.points[None, :]
-        subweights[idx] = half[idx, None] * rule.weights[None, :]
+        mask = kinds == kind
+        ref_points[mask] = rule.points
+        ref_weights[mask] = rule.weights
+
+    half = 0.5 * mesh.sizes[:, None]
+    subpoints = mesh.centers[:, None] + half * ref_points
+    subweights = half * ref_weights
     # Control-volume endpoints are element breakpoints, bit for bit.
     subpoints[:, 0] = mesh.breakpoints[:-1]
     subpoints[:, -1] = mesh.breakpoints[1:]
 
-    for arr in (kinds, subpoints, subweights):
+    for arr in (kinds, ref_points, subpoints, subweights):
         arr.setflags(write=False)
     return Partition(
         mesh=mesh,
         k=k,
         scheme=scheme,
-        tie_break=tie_break,
         kinds=kinds,
+        ref_points=ref_points,
         subpoints=subpoints,
         subweights=subweights,
-        groups=groups,
     )

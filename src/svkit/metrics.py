@@ -25,7 +25,6 @@ from .poly import (
     interpolation_nodes,
 )
 from .quadrature import gauss_panel
-from .sv import upwind_fluxes
 
 _BISECT_STEPS = 60
 
@@ -151,12 +150,11 @@ def _functional_parts(u_h, u, u_x, coeff, partition) -> dict[str, float]:
     out["gap_l2"] = broken_norm(diff, "l2")
 
     # Interfaces x_{i+1/2}, i = 1..N; the wrap interface is the first one.
-    flux_num = upwind_fluxes(u_h, coeff)[1:]
     a_if = coeff.interface_values[1:]
     x_if = mesh.breakpoints[1:]
     u_if = np.asarray(u(x_if), dtype=float)
     uhat = np.where(a_if > 0.0, u_h.right_traces(), np.roll(u_h.left_traces(), -1))
-    out["flux_iface_rms"] = float(np.sqrt(np.mean((a_if * u_if - flux_num) ** 2)))
+    out["flux_iface_rms"] = float(np.sqrt(np.mean((a_if * u_if - a_if * uhat) ** 2)))
     out["iface_rms"] = float(np.sqrt(np.mean((u_if - uhat) ** 2)))
 
     # Cell averages of the mismatch, flux-weighted and plain.

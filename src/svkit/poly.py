@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import DegenerateNodesError, OutOfDomainError
 from .mesh import DOMAIN_LENGTH, FluxCoefficient, Mesh1D, Partition
-from .quadrature import gauss_panel, legendre_basis, legendre_basis_deriv, make_rule
+from .quadrature import gauss_panel, legendre_basis, legendre_basis_deriv
 
 _BREAKPOINT_TOL = 1e-12
 LINF_SAMPLES = 21
@@ -171,17 +171,6 @@ class InterpKind(Enum):
     AUTO = "auto"              # per-element choice from the coefficient signs
 
 
-def _ref_interp_nodes(rule_points: np.ndarray, kind: InterpKind) -> np.ndarray:
-    k = rule_points.size - 2
-    if kind is InterpKind.MINUS:
-        return rule_points[1:]
-    if kind is InterpKind.PLUS:
-        return rule_points[:-1]
-    if kind is InterpKind.PLUS_MINUS:
-        return np.concatenate([rule_points[:1], rule_points[1:k], rule_points[-1:]])
-    raise ValueError(f"no node set for {kind}")
-
-
 def auto_interp_kinds(partition: Partition, coeff: FluxCoefficient) -> np.ndarray:
     """Per-element interpolant choice driven by the endpoint signs of alpha.
 
@@ -207,7 +196,6 @@ def auto_interp_kinds(partition: Partition, coeff: FluxCoefficient) -> np.ndarra
 class InterpNodes(NamedTuple):
     x: np.ndarray       # (N, k+1) domain coordinates of the interpolation nodes
     s: np.ndarray       # (N, k+1) matching reference coordinates
-    kinds: np.ndarray   # per-element InterpKind actually used
 
 
 def interpolation_nodes(
@@ -215,7 +203,11 @@ def interpolation_nodes(
     coeff: FluxCoefficient | None = None,
     kind: InterpKind = InterpKind.AUTO,
 ) -> InterpNodes:
-    """Domain/reference coordinates of each element's k+1 interpolation nodes."""
+    """Domain/reference coordinates of each element's k+1 interpolation nodes.
+
+    Every node set is the element's k+2 partition points less one: MINUS drops
+    the left endpoint, PLUS the right one and PLUS_MINUS the last interior point.
+    """
     n = partition.mesh.n_elements
     k = partition.k
     if kind is InterpKind.AUTO:
@@ -223,26 +215,18 @@ def interpolation_nodes(
             raise ValueError("automatic interpolation needs the flux coefficient")
         ikinds = auto_interp_kinds(partition, coeff)
     else:
-        ikinds = np.empty(n, dtype=object)
-        ikinds[:] = kind
+        ikinds = np.full(n, kind, dtype=object)
 
-    centers = partition.mesh.centers
-    half = 0.5 * partition.mesh.sizes
-    s_nodes = np.empty((n, k + 1))
-    for rule_kind, idx in partition.groups.items():
-        rule = make_rule(rule_kind, k)
-        for ik in (InterpKind.MINUS, InterpKind.PLUS, InterpKind.PLUS_MINUS):
-            sel = idx[ikinds[idx] == ik]
-            if not sel.size:
-                continue
-            ref = _ref_interp_nodes(rule.points, ik)
-            if np.min(np.diff(ref)) < 1e-13:
-                raise DegenerateNodesError(
-                    f"interpolation nodes coincide for {rule_kind.value}/{ik.value}"
-                )
-            s_nodes[sel] = ref[None, :]
-    x_nodes = centers[:, None] + half[:, None] * s_nodes
-    return InterpNodes(x=x_nodes, s=s_nodes, kinds=ikinds)
+    dropped = np.full(n, k)
+    dropped[ikinds == InterpKind.MINUS] = 0
+    dropped[ikinds == InterpKind.PLUS] = k + 1
+    keep = np.arange(k + 2) != dropped[:, None]
+    s_nodes = partition.ref_points[keep].reshape(n, k + 1)
+    gaps = np.diff(s_nodes, axis=1).min(axis=1)
+    if gaps.min() < 1e-13:
+        raise DegenerateNodesError(f"interpolation nodes coincide in element {gaps.argmin()}")
+    x_nodes = partition.mesh.centers[:, None] + 0.5 * partition.mesh.sizes[:, None] * s_nodes
+    return InterpNodes(x=x_nodes, s=s_nodes)
 
 
 def interpolate(
@@ -257,21 +241,10 @@ def interpolate(
     polynomial of degree <= k exactly.
     """
     nodes = interpolation_nodes(partition, coeff, kind)
-    k = partition.k
-    coeffs = np.empty((partition.mesh.n_elements, k + 1))
     fx = np.asarray(f(nodes.x), dtype=float)
-
-    # Solve the Legendre Vandermonde system once per distinct reference node set.
-    for idx in partition.groups.values():
-        for ik in (InterpKind.MINUS, InterpKind.PLUS, InterpKind.PLUS_MINUS):
-            sel = idx[nodes.kinds[idx] == ik]
-            if not sel.size:
-                continue
-            ref = nodes.s[sel[0]]
-            vand = legendre_basis(k, ref)           # (k+1, k+1), rows are nodes
-            inv = np.linalg.inv(vand)
-            coeffs[sel] = fx[sel] @ inv.T
-    return PiecewisePoly(partition.mesh, k, coeffs)
+    vand = legendre_basis(partition.k, nodes.s)  # (N, k+1, k+1), rows are nodes
+    coeffs = np.linalg.solve(vand, fx[..., None])[..., 0]
+    return PiecewisePoly(partition.mesh, partition.k, coeffs)
 
 
 # -- control-volume transform ---------------------------------------------------
@@ -296,13 +269,7 @@ def t_transform(w: PiecewisePoly, partition: Partition) -> PiecewiseConstant:
     if w.k != partition.k:
         raise ValueError("polynomial degree does not match partition order")
     k = partition.k
-    # w_x at all k+2 partition points, grouped by rule kind.
-    wx = np.empty((w.mesh.n_elements, k + 2))
-    for rule_kind, idx in partition.groups.items():
-        rule = make_rule(rule_kind, k)
-        _, dbasis = legendre_basis_deriv(k, rule.points)
-        wx[idx] = (w.coeffs[idx] @ dbasis.T) * (2.0 / w.mesh.sizes[idx, None])
-    increments = partition.subweights * wx
+    increments = partition.subweights * w.eval_ref_deriv(partition.ref_points)
     values = np.cumsum(increments[:, : k + 1], axis=1)
     values += w.left_traces()[:, None]
     return PiecewiseConstant(partition=partition, values=values)
@@ -327,15 +294,7 @@ def element_antiderivative(u: PiecewisePoly) -> PiecewisePoly:
 
 def cv_integrals(u: PiecewisePoly, partition: Partition) -> np.ndarray:
     """Exact integrals of u over every control volume, shape (N, k+1)."""
-    from .sv import cv_matrix  # local import to avoid a cycle
-
-    k = partition.k
-    out = np.empty((u.mesh.n_elements, k + 1))
-    half = 0.5 * u.mesh.sizes
-    for rule_kind, idx in partition.groups.items():
-        m = cv_matrix(make_rule(rule_kind, k)).matrix
-        out[idx] = (u.coeffs[idx] @ m.T) * half[idx, None]
-    return out
+    return np.diff(element_antiderivative(u).eval_ref(partition.ref_points), axis=1)
 
 
 def transform_inner_products(u: PiecewisePoly, partition: Partition) -> np.ndarray:

@@ -50,8 +50,6 @@ class ControlVolumeMatrix:
     computed exactly from the Legendre antiderivative identity.
     """
 
-    kind: RuleKind
-    k: int
     matrix: np.ndarray
     inverse: np.ndarray
 
@@ -83,7 +81,7 @@ def _cv_matrix(kind: RuleKind, k: int) -> ControlVolumeMatrix:
     inverse = np.linalg.inv(matrix)
     matrix.setflags(write=False)
     inverse.setflags(write=False)
-    return ControlVolumeMatrix(kind=kind, k=k, matrix=matrix, inverse=inverse)
+    return ControlVolumeMatrix(matrix=matrix, inverse=inverse)
 
 
 def upwind_fluxes(u: PiecewisePoly, coeff: FluxCoefficient) -> np.ndarray:
@@ -99,8 +97,8 @@ class SVOperator:
     """Precomputed spectral-volume right-hand side for a fixed partition.
 
     The instance is reusable across time steps: all geometry, coefficient
-    samples, and factorizations are set up once.  Calling it is pure in its
-    arguments, so the element loop below could be sharded without locking.
+    samples, and factorizations are set up once as per-element stacks, so a
+    call treats every element alike whatever its rule kind.
     """
 
     def __init__(
@@ -114,29 +112,23 @@ class SVOperator:
             raise InvalidConfigError("config order does not match partition order")
         if config.variant is not partition.scheme:
             raise InvalidConfigError("config variant does not match partition scheme")
-        self.config = config
-        self.partition = partition
-        self.coeff = coeff
         self.source = source
 
         mesh = partition.mesh
         k = config.k
         self._mesh = mesh
         self._k = k
-        self._alt = (-1.0) ** np.arange(k + 1)
-        self._a_if = coeff.interface_values[:-1].copy()
-        self._pos_if = self._a_if > 0.0
-        self._two_over_h = 2.0 / mesh.sizes
+        self._coeff = coeff
 
-        self._groups = partition.groups
-        self._vint = {}
-        self._minv_t = {}
-        for kind, idx in self._groups.items():
-            rule = make_rule(kind, k)
-            self._vint[kind] = legendre_basis(k, rule.points[1 : k + 1]).T  # (k+1, k)
-            self._minv_t[kind] = cv_matrix(rule).inverse.T
-
-        self._a_int = np.asarray(coeff.alpha(partition.subpoints[:, 1 : k + 1]), dtype=float)
+        # (N, k, k+1): alpha times the Legendre modes at the interior CV faces.
+        a_int = np.asarray(coeff.alpha(partition.subpoints[:, 1 : k + 1]), dtype=float)
+        self._face_modes = a_int[..., None] * legendre_basis(k, partition.ref_points[:, 1 : k + 1])
+        # (N, k+1, k+1): the reference CV inverse of each element's rule, times 2/h.
+        cv_inv = np.empty((mesh.n_elements, k + 1, k + 1))
+        for kind in RuleKind:
+            cv_inv[partition.kinds == kind] = _cv_matrix(kind, k).inverse
+        cv_inv *= (2.0 / mesh.sizes)[:, None, None]
+        self._cv_inv = cv_inv
 
         if source is not None:
             sg, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
@@ -156,23 +148,13 @@ class SVOperator:
         return cv
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
-        c = u.coeffs
-        um = c.sum(axis=1)
-        up = c @ self._alt
-        flux = np.where(self._pos_if, self._a_if * np.roll(um, 1), self._a_if * up)
-
-        faces = np.empty((c.shape[0], self._k + 2))
-        faces[:, 0] = flux
-        faces[:, -1] = np.roll(flux, -1)
-        for kind, idx in self._groups.items():
-            faces[idx, 1:-1] = self._a_int[idx] * (c[idx] @ self._vint[kind])
+        flux = upwind_fluxes(u, self._coeff)
+        faces = np.empty((flux.size - 1, self._k + 2))
+        faces[:, 0] = flux[:-1]
+        faces[:, -1] = flux[1:]
+        faces[:, 1:-1] = np.einsum("njm,nm->nj", self._face_modes, u.coeffs)
 
         residual = faces[:, :-1] - faces[:, 1:]
         if self.source is not None:
-            residual = residual + self._source_cv(t)
-
-        out = np.empty_like(c)
-        for kind, idx in self._groups.items():
-            out[idx] = residual[idx] @ self._minv_t[kind]
-        out *= self._two_over_h[:, None]
-        return PiecewisePoly(self._mesh, self._k, out)
+            residual += self._source_cv(t)
+        return PiecewisePoly(self._mesh, self._k, np.einsum("nij,nj->ni", self._cv_inv, residual))

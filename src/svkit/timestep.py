@@ -38,8 +38,11 @@ def rk4_step(u, t: float, dt: float, rhs):
 def integrate_to(u0, t0: float, t_final: float, dt_nominal: float, rhs):
     """March from t0 to t_final in uniform steps, shortening only the last one.
 
-    The step count is ceil((t_final - t0) / dt_nominal); stage times are
-    computed from the step index, not accumulated, to avoid drift.
+    The step count is ceil((t_final - t0) / dt_nominal).  Step ends lie on the
+    grid t0 + m * dt_nominal, computed from the step index, not accumulated, to
+    avoid drift.  Each step is the difference of its two grid times; for
+    t0 >= 0 that difference is exact, so a step ends at bitwise the time the
+    next one starts and an operator's one-entry source memo serves both.
     """
     if t_final <= t0:
         raise InvalidConfigError(f"t_final = {t_final} must exceed t0 = {t0}")
@@ -48,11 +51,12 @@ def integrate_to(u0, t0: float, t_final: float, dt_nominal: float, rhs):
     span = t_final - t0
     n_steps = max(1, math.ceil(span / dt_nominal - 1e-9))
     u = u0
+    t = t0
     for m in range(n_steps):
-        t = t0 + m * dt_nominal
-        dt = dt_nominal if m < n_steps - 1 else t_final - t
+        t_next = t0 + (m + 1) * dt_nominal if m < n_steps - 1 else t_final
         try:
-            u = rk4_step(u, t, dt, rhs)
+            u = rk4_step(u, t, t_next - t, rhs)
         except NonFiniteError as exc:
             raise NonFiniteError(f"{exc} (step {m + 1} of {n_steps})") from None
+        t = t_next
     return u

@@ -148,6 +148,7 @@ def test_partition_invariants(scheme, k):
     # affine-map consistency against the reference points
     for i in range(mesh.n_elements):
         rule = make_rule(part.kinds[i], k)
+        np.testing.assert_array_equal(part.ref_points[i], rule.points)
         mapped = mesh.centers[i] + 0.5 * mesh.sizes[i] * rule.points
         assert np.max(np.abs(part.subpoints[i] - mapped)) < 1e-13
 

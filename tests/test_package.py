@@ -14,3 +14,8 @@ def test_import_does_not_load_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in svkit.__all__ if not hasattr(svkit, name)]
+    assert missing == []

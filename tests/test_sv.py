@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svkit.cases import manufactured_case
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
-from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate, triple_norm
+from svkit.poly import (
+    InterpKind,
+    PiecewisePoly,
+    broken_norm,
+    interpolate,
+    interpolation_nodes,
+    triple_norm,
+)
 from svkit.quadrature import RuleKind, integrate_panel, make_rule
 from svkit.sv import SOURCE_QUAD_EXTRA, SchemeConfig, SVOperator, cv_matrix, upwind_fluxes
 from svkit.dg import DGOperator
@@ -259,3 +268,64 @@ def test_constant_coefficient_dissipation():
         now = triple_norm(u, part_l)
         assert now <= prev + 1e-12
         prev = now
+
+
+# -- stacked operator against a per-element reference ------------------------------
+
+
+def _reference_rhs(part, coeff, u):
+    """The g = 0 right-hand side built one element at a time from its own rule."""
+    k = part.k
+    sizes = part.mesh.sizes
+    flux = upwind_fluxes(u, coeff)
+    out = np.empty_like(u.coeffs)
+    for i in range(part.mesh.n_elements):
+        rule = make_rule(part.kinds[i], k)
+        faces = np.empty(k + 2)
+        faces[0] = flux[i]
+        faces[-1] = flux[i + 1]
+        x_int = part.subpoints[i, 1 : k + 1]
+        faces[1:-1] = coeff.alpha(x_int) * np.polynomial.legendre.legval(
+            rule.points[1 : k + 1], u.coeffs[i]
+        )
+        out[i] = cv_matrix(rule).inverse @ (faces[:-1] - faces[1:]) * 2.0 / sizes[i]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 24),
+    jitter=st.floats(0.0, 0.35),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 12),
+    scheme=st.sampled_from([Scheme.RSV, Scheme.LSV]),
+    tie_break=st.sampled_from([RuleKind.RADAU_RIGHT, RuleKind.RADAU_LEFT]),
+    shift=st.sampled_from([0.0, np.pi / 3]),
+    interp_kind=st.sampled_from(list(InterpKind)),
+)
+def test_stacked_operator_matches_element_loop(
+    n, jitter, seed, k, scheme, tie_break, shift, interp_kind
+):
+    # shift = 0 puts a zero of alpha on the breakpoint x = 0.
+    mesh = build_mesh(n, jitter, seed=seed)
+    coeff = FluxCoefficient(lambda x: np.sin(x - shift), mesh)
+    part = build_partition(mesh, k, scheme, coeff, tie_break)
+    u = _random_poly(mesh, k, seed)
+
+    out = SVOperator(SchemeConfig(k, scheme), part, coeff)(u, 0.0).coeffs
+    ref = _reference_rhs(part, coeff, u)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(out - ref)) < 1e-12 * scale
+
+    # g = 0: the flux differences telescope, so the total mass is constant.
+    mass_rate = np.dot(mesh.sizes, out[:, 0])
+    assert abs(mass_rate) < 1e-12 * scale
+
+    # Interpolation reproduces the broken polynomial u from its values at the
+    # nodes, which are k+1 of each element's k+2 partition points.
+    nodes = interpolation_nodes(part, coeff, interp_kind)
+    for i in range(n):
+        assert np.all(np.isin(nodes.s[i], part.ref_points[i]))
+    back = interpolate(lambda x: u.eval_ref(nodes.s), part, coeff, interp_kind)
+    scale = max(1.0, float(np.max(np.abs(u.coeffs))))
+    assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12 * scale

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from svkit.cases import manufactured_case
+from svkit.dg import DGOperator
 from svkit.exceptions import InvalidConfigError, NonFiniteError
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.poly import InterpKind, PiecewisePoly, interpolate, total_mass
@@ -96,3 +97,31 @@ def test_dt_refinement_time_error_negligible():
     err_coarse = broken_norm(coarse, "l2", reference=lambda x: case.u_exact(x, t_final))
     err_fine = broken_norm(fine, "l2", reference=lambda x: case.u_exact(x, t_final))
     assert abs(err_coarse - err_fine) < 1e-4 * err_coarse
+
+
+@pytest.mark.parametrize("operator", ["sv", "dg"])
+def test_two_source_evaluations_per_step(operator):
+    # Stages 2 and 3 share a time, and each step must end at bitwise the time
+    # the next one starts, so the operators' one-entry source memo leaves
+    # 2 evaluations per step plus the first.
+    case = manufactured_case(1)
+    calls = []
+
+    def source(x, t):
+        calls.append(t)
+        return case.source(x, t)
+
+    n, t_final = 16, 0.1
+    dt = 0.01 / n
+    mesh = build_mesh(n)
+    coeff = FluxCoefficient(case.alpha, mesh)
+    part = build_partition(mesh, 1, Scheme.RSV, coeff)
+    if operator == "sv":
+        op = SVOperator(SchemeConfig(1, Scheme.RSV), part, coeff, source)
+    else:
+        op = DGOperator(mesh, 1, coeff, source)
+    u0 = interpolate(case.u0, part, coeff, InterpKind.AUTO)
+    integrate_to(u0, 0.0, t_final, dt, op)
+    n_steps = 160  # t_final / dt
+    assert len(calls) == 2 * n_steps + 1
+    assert calls[-1] == t_final
