@@ -13,55 +13,71 @@ from .exceptions import InvalidConfigError
 from .mesh import FluxCoefficient, Mesh1D
 from .poly import PiecewisePoly
 from .quadrature import MAX_ORDER, gauss_panel, legendre_basis_deriv
-from .sv import upwind_fluxes
+from .sv import apply_stencil, neighbour_index, trace_rows, upwind_weights
 
 VOLUME_QUAD_EXTRA = 3  # (k+3)-point Gauss for the non-polynomial volume term
 
 
 class DGOperator:
-    """Precomputed upwind-DG right-hand side on a fixed mesh."""
+    """Precomputed upwind-DG right-hand side on a fixed mesh.
+
+    The constructor folds the volume term, the two upwind interface traces and
+    the inverse mass matrix into one block stencil, so a call is one neighbour
+    gather and one batched matrix product.
+    """
 
     def __init__(self, mesh: Mesh1D, k: int, coeff: FluxCoefficient, source=None):
         if not 1 <= k <= MAX_ORDER:
             raise InvalidConfigError(f"order k must lie in [1, {MAX_ORDER}], got {k}")
         self.mesh = mesh
         self.k = k
-        self.coeff = coeff
         self.source = source
+        n = mesh.n_elements
+        self._nbr = neighbour_index(n)
 
         q = k + VOLUME_QUAD_EXTRA
         sg, wg = gauss_panel(q)
         basis, dbasis = legendre_basis_deriv(k, sg)     # (q, k+1) each
-        self._basis = basis
-        self._wd = wg[:, None] * dbasis                  # rows weighted by w_q
-        self._wb = wg[:, None] * basis
-        self._alt = (-1.0) ** np.arange(k + 1)
+        wd = wg[:, None] * dbasis                        # rows weighted by w_q
+        alt = (-1.0) ** np.arange(k + 1)
 
         x = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg[None, :]
-        self._x_quad = x
-        self._a_quad = np.asarray(coeff.alpha(x), dtype=float)
-        self._scale = (2.0 * np.arange(k + 1) + 1.0)[None, :] / mesh.sizes[:, None]
-        self._half_h = 0.5 * mesh.sizes
-        self._src_memo: tuple[float, np.ndarray] | None = None
+        a_quad = np.asarray(coeff.alpha(x), dtype=float)
+        mode_scale = 2.0 * np.arange(k + 1) + 1.0  # inverse mass matrix, times h
+
+        # Row m of an element's stencil is (2m+1)/h times: the left-interface
+        # flux times the test trace (-1)^m, minus the right-interface flux,
+        # plus the volume term.  Each is linear in the element's upwind
+        # weights and its alpha samples, so one product with fixed patterns
+        # builds every element.
+        rows = trace_rows(k)
+        patterns = np.zeros((4 + q, k + 1, 3 * (k + 1)))
+        patterns[:2] = alt[:, None] * rows[:2, None, :]
+        patterns[2:4] = -rows[2:, None, :]
+        patterns[4:, :, k + 1 : 2 * (k + 1)] = wd[:, :, None] * basis[:, None, :]
+        patterns *= mode_scale[:, None]
+        weights = np.column_stack([upwind_weights(coeff), a_quad]) / mesh.sizes[:, None]
+        stencil = (weights @ patterns.reshape(4 + q, -1)).reshape(n, k + 1, -1)
+        stencil.setflags(write=False)
+        self._stencil = stencil
+
+        if source is not None:
+            self._x_quad = x
+            # The source moments are (h/2) sum_q w_q g L_m, times the inverse mass.
+            self._wb = (wg[:, None] * basis) * (0.5 * mode_scale)
+            self._src_memo: tuple[float, np.ndarray] | None = None
 
     def _source_moments(self, t: float) -> np.ndarray:
+        """Source moments at time t, scaled by the inverse mass matrix."""
         if self._src_memo is not None and self._src_memo[0] == t:
             return self._src_memo[1]
         g = np.asarray(self.source(self._x_quad, t), dtype=float)
-        moments = (g @ self._wb) * self._half_h[:, None]
+        moments = g @ self._wb
         self._src_memo = (t, moments)
         return moments
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
-        c = u.coeffs
-        flux = upwind_fluxes(u, self.coeff)
-        flux_left = flux[:-1]
-        flux_right = flux[1:]
-
-        u_quad = c @ self._basis.T                       # (N, q)
-        rhs = (self._a_quad * u_quad) @ self._wd         # volume term, (N, k+1)
-        rhs -= flux_right[:, None]                       # test trace at +1 is 1
-        rhs += flux_left[:, None] * self._alt[None, :]   # test trace at -1 alternates
+        out = apply_stencil(self._stencil, self._nbr, u.coeffs)
         if self.source is not None:
-            rhs = rhs + self._source_moments(t)
-        return PiecewisePoly(self.mesh, self.k, rhs * self._scale)
+            out += self._source_moments(t)
+        return PiecewisePoly(self.mesh, self.k, out)

@@ -8,6 +8,7 @@ started from the identical interpolated initial state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,8 +72,12 @@ class StudyConfig:
             raise InvalidConfigError(f"unknown tie break {self.tie_break!r}")
         if self.fmt not in ("csv", "md"):
             raise InvalidConfigError(f"unknown output format {self.fmt!r}")
-        if self.dt_factor <= 0:
-            raise InvalidConfigError("dt factor must be positive")
+        # Checked here, before any job runs: a NaN or infinite time would only
+        # surface mid-study, or not at all (dt = inf is one step of size T).
+        if not (math.isfinite(self.dt_factor) and self.dt_factor > 0):
+            raise InvalidConfigError(f"dt factor must be finite and positive, got {self.dt_factor}")
+        if self.t_final is not None and not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise InvalidConfigError(f"final time must be finite and positive, got {self.t_final}")
 
 
 @dataclass

@@ -3,8 +3,10 @@
 Each element imposes the integral conservation statement on its k+1 control
 volumes.  Fluxes at interior control-volume faces use the single-valued
 in-element polynomial; fluxes at element interfaces use the upwind trace.  The
-degree-k polynomial is recovered from its k+1 control-volume integrals by one
-reference inverse per rule kind.
+degree-k polynomial is recovered from its k+1 control-volume integrals by its
+rule's reference inverse.  The result is linear in the state and couples each
+element only to its two neighbours, so the operator is built once as a block
+stencil over [c_{i-1}, c_i, c_{i+1}].
 """
 
 from __future__ import annotations
@@ -93,12 +95,83 @@ def upwind_fluxes(u: PiecewisePoly, coeff: FluxCoefficient) -> np.ndarray:
     return np.concatenate([flux, flux[:1]])
 
 
+# -- block stencils: du/dt = A u + s(t), with A coupling each element to its two neighbours
+
+
+def neighbour_index(n: int) -> np.ndarray:
+    """(n, 3) element indices [i-1, i, i+1] on the periodic mesh."""
+    i = np.arange(n)
+    nbr = np.stack([(i - 1) % n, i, (i + 1) % n], axis=1)
+    nbr.setflags(write=False)
+    return nbr
+
+
+def upwind_weights(coeff: FluxCoefficient) -> np.ndarray:
+    """(N, 4) upwind parts of alpha at each element's left, then right, interface.
+
+    Per interface a+ = alpha where alpha > 0, else 0, and a- = alpha - a+; the
+    upwind flux is a+ times the trace from the left of the interface plus a-
+    times the trace from its right, and one of the two terms is exactly zero.
+    The columns pair with the rows of :func:`trace_rows`.
+    """
+    a = coeff.interface_values
+    a_pos = np.where(a > 0.0, a, 0.0)
+    a_neg = a - a_pos
+    return np.column_stack([a_pos[:-1], a_neg[:-1], a_pos[1:], a_neg[1:]])
+
+
+@lru_cache(maxsize=None)
+def trace_rows(k: int) -> np.ndarray:
+    """(4, 3(k+1)) one-sided traces as rows over [c_{i-1}, c_i, c_{i+1}], read-only.
+
+    The rows are the right trace (mode sum) of element i-1, the left trace
+    (alternating sum) of element i, the right trace of element i and the left
+    trace of element i+1.
+    """
+    rows = np.zeros((4, 3, k + 1))
+    rows[0, 0] = 1.0
+    rows[1, 1] = (-1.0) ** np.arange(k + 1)
+    rows[2, 1] = 1.0
+    rows[3, 2] = rows[1, 1]
+    rows = rows.reshape(4, -1)
+    rows.setflags(write=False)
+    return rows
+
+
+def apply_stencil(stencil: np.ndarray, nbr: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(N, k+1) product of an (N, k+1, 3(k+1)) block stencil with the gathered neighbours."""
+    gathered = np.take(c, nbr, axis=0)  # as c[nbr], without fancy indexing's overhead
+    return np.matmul(stencil, gathered.reshape(c.shape[0], -1, 1))[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
+    """(k+4, (k+1) * 3(k+1)) reference stencils of one rule kind, per unit weight, read-only.
+
+    The weights are the four columns of :func:`upwind_weights`, then alpha at
+    the k interior CV faces.  For each, the flux at every CV face is a row
+    over [c_{i-1}, c_i, c_{i+1}] (interior faces: the element's own Legendre
+    modes), and the pattern is the CV inverse times the face differences.
+    """
+    m = k + 1
+    faces = np.zeros((k + 4, k + 2, 3 * m))
+    rows = trace_rows(k)
+    faces[:2, 0] = rows[:2]
+    faces[2:4, -1] = rows[2:]
+    interior = make_rule(kind, k).points[1 : k + 1]
+    faces[4 + np.arange(k), 1 + np.arange(k), m : 2 * m] = legendre_basis(k, interior)
+    patterns = (_cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])).reshape(k + 4, -1)
+    patterns.setflags(write=False)
+    return patterns
+
+
 class SVOperator:
     """Precomputed spectral-volume right-hand side for a fixed partition.
 
-    The instance is reusable across time steps: all geometry, coefficient
-    samples, and factorizations are set up once as per-element stacks, so a
-    call treats every element alike whatever its rule kind.
+    The constructor folds the upwind interface fluxes, the interior-face
+    fluxes and each element's control-volume inverse into one block stencil,
+    so a call is one neighbour gather and one batched matrix product whatever
+    the elements' rule kinds.
     """
 
     def __init__(
@@ -116,19 +189,24 @@ class SVOperator:
 
         mesh = partition.mesh
         k = config.k
+        n = mesh.n_elements
         self._mesh = mesh
         self._k = k
-        self._coeff = coeff
+        self._nbr = neighbour_index(n)
 
-        # (N, k, k+1): alpha times the Legendre modes at the interior CV faces.
+        # Each element's stencil is its weights, times 2/h, times its rule's
+        # patterns; the reference CV inverse, times 2/h, maps the source.
         a_int = np.asarray(coeff.alpha(partition.subpoints[:, 1 : k + 1]), dtype=float)
-        self._face_modes = a_int[..., None] * legendre_basis(k, partition.ref_points[:, 1 : k + 1])
-        # (N, k+1, k+1): the reference CV inverse of each element's rule, times 2/h.
-        cv_inv = np.empty((mesh.n_elements, k + 1, k + 1))
+        weights = np.column_stack([upwind_weights(coeff), a_int]) * (2.0 / mesh.sizes)[:, None]
+        stencil = np.empty((n, k + 1, 3 * (k + 1)))
+        cv_inv = np.empty((n, k + 1, k + 1))
         for kind in RuleKind:
-            cv_inv[partition.kinds == kind] = _cv_matrix(kind, k).inverse
+            mask = partition.kinds == kind
+            stencil[mask] = (weights[mask] @ _sv_patterns(kind, k)).reshape(-1, k + 1, 3 * (k + 1))
+            cv_inv[mask] = _cv_matrix(kind, k).inverse
         cv_inv *= (2.0 / mesh.sizes)[:, None, None]
-        self._cv_inv = cv_inv
+        stencil.setflags(write=False)
+        self._stencil = stencil
 
         if source is not None:
             sg, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
@@ -137,24 +215,21 @@ class SVOperator:
             half = 0.5 * (sp[:, 1:] - sp[:, :-1])[..., None]       # (N, k+1, 1)
             self._src_x = mid + half * sg[None, None, :]           # (N, k+1, q)
             self._src_w = half * wg[None, None, :]                 # (N, k+1, q)
+            self._cv_inv = cv_inv
             self._src_memo: tuple[float, np.ndarray] | None = None
 
-    def _source_cv(self, t: float) -> np.ndarray:
+    def _source_coeffs(self, t: float) -> np.ndarray:
+        """CV source integrals at time t, mapped to modal coefficients."""
         if self._src_memo is not None and self._src_memo[0] == t:
             return self._src_memo[1]
         g = np.asarray(self.source(self._src_x, t), dtype=float)
-        cv = np.sum(g * self._src_w, axis=2)
-        self._src_memo = (t, cv)
-        return cv
+        cv = np.einsum("njq,njq->nj", g, self._src_w)
+        mapped = np.matmul(self._cv_inv, cv[..., None])[..., 0]
+        self._src_memo = (t, mapped)
+        return mapped
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
-        flux = upwind_fluxes(u, self._coeff)
-        faces = np.empty((flux.size - 1, self._k + 2))
-        faces[:, 0] = flux[:-1]
-        faces[:, -1] = flux[1:]
-        faces[:, 1:-1] = np.einsum("njm,nm->nj", self._face_modes, u.coeffs)
-
-        residual = faces[:, :-1] - faces[:, 1:]
+        out = apply_stencil(self._stencil, self._nbr, u.coeffs)
         if self.source is not None:
-            residual += self._source_cv(t)
-        return PiecewisePoly(self._mesh, self._k, np.einsum("nij,nj->ni", self._cv_inv, residual))
+            out += self._source_coeffs(t)
+        return PiecewisePoly(self._mesh, self._k, out)

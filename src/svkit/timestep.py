@@ -44,6 +44,9 @@ def integrate_to(u0, t0: float, t_final: float, dt_nominal: float, rhs):
     t0 >= 0 that difference is exact, so a step ends at bitwise the time the
     next one starts and an operator's one-entry source memo serves both.
     """
+    for name, value in (("t0", t0), ("t_final", t_final), ("nominal step", dt_nominal)):
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"{name} must be finite, got {value}")
     if t_final <= t0:
         raise InvalidConfigError(f"t_final = {t_final} must exceed t0 = {t0}")
     if dt_nominal <= 0.0:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svkit.cases import manufactured_case
-from svkit.dg import DGOperator
+from svkit.dg import VOLUME_QUAD_EXTRA, DGOperator
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate
-from svkit.sv import SchemeConfig, SVOperator
+from svkit.quadrature import legendre_basis_deriv
+from svkit.sv import SchemeConfig, SVOperator, upwind_fluxes
 from svkit.timestep import integrate_to
 
 
@@ -92,3 +95,43 @@ def test_l2_dissipation_constant_coefficient():
         now = broken_norm(u)
         assert now <= prev + 1e-12
         prev = now
+
+
+# -- block stencil against the term-by-term right-hand side ------------------------
+
+
+def _reference_rhs(mesh, k, coeff, u, source, t):
+    """Upwind DG right-hand side assembled term by term on (k+3)-point Gauss."""
+    sg, wg = np.polynomial.legendre.leggauss(k + VOLUME_QUAD_EXTRA)
+    basis, dbasis = legendre_basis_deriv(k, sg)
+    x = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg[None, :]
+    flux = upwind_fluxes(u, coeff)
+    rhs = (coeff.alpha(x) * (u.coeffs @ basis.T)) @ (wg[:, None] * dbasis)  # volume term
+    rhs -= flux[1:, None]                                  # test trace at +1 is 1
+    rhs += flux[:-1, None] * (-1.0) ** np.arange(k + 1)    # test trace at -1 alternates
+    if source is not None:
+        rhs += (source(x, t) @ (wg[:, None] * basis)) * (0.5 * mesh.sizes)[:, None]
+    return rhs * (2.0 * np.arange(k + 1) + 1.0) / mesh.sizes[:, None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 24),
+    jitter=st.floats(0.0, 0.35),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 12),
+    shift=st.sampled_from([0.0, np.pi / 3]),
+    with_source=st.booleans(),
+)
+def test_stacked_operator_matches_term_by_term(n, jitter, seed, k, shift, with_source):
+    # shift = 0 puts a zero of alpha on the breakpoint x = 0.
+    mesh = build_mesh(n, jitter, seed=seed)
+    coeff = FluxCoefficient(lambda x: np.sin(x - shift), mesh)
+    source = manufactured_case(1).source if with_source else None
+    u = _random_poly(mesh, k, seed)
+    t = 0.37
+
+    out = DGOperator(mesh, k, coeff, source)(u, t).coeffs
+    ref = _reference_rhs(mesh, k, coeff, u, source, t)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(out - ref)) < 1e-12 * scale

@@ -40,6 +40,23 @@ def test_config_rejects_orders_out_of_range(k_values):
         StudyConfig(k_values=k_values)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_final", float("nan")),
+        ("t_final", float("inf")),
+        ("t_final", 0.0),
+        ("t_final", -1.0),
+        ("dt_factor", float("nan")),
+        ("dt_factor", float("inf")),
+    ],
+)
+def test_config_rejects_bad_times(field, value):
+    # Checked before any job runs; inf as dt_factor used to run one step of size T.
+    with pytest.raises(InvalidConfigError):
+        StudyConfig(**{field: value})
+
+
 def test_run_study_reports_and_orders():
     config = StudyConfig(example="1", schemes=("rsv",), k_values=(1,), **FAST)
     result = run_study(config)
@@ -186,6 +203,13 @@ def test_cli_rejects_bad_flags(tmp_path):
 )
 def test_cli_rejects_bad_lists(argv, capsys):
     assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("svkit: ")
+
+
+@pytest.mark.parametrize("flag", ["--t-final", "--dt-factor"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_times(flag, value, capsys):
+    assert main(["--k", "1", "--n", "8,16", flag, value]) == 1
     assert capsys.readouterr().err.startswith("svkit: ")
 
 

@@ -79,6 +79,22 @@ def test_invalid_spans_rejected():
         rk4_step(np.ones(2), 0.0, -0.1, lambda u, t: u)
 
 
+@pytest.mark.parametrize(
+    "t0, t_final, dt",
+    [
+        (np.nan, 1.0, 0.1),
+        (-np.inf, 1.0, 0.1),
+        (0.0, np.nan, 0.1),
+        (0.0, np.inf, 0.1),
+        (0.0, 1.0, np.nan),
+        (0.0, 1.0, np.inf),  # would be one step of size t_final
+    ],
+)
+def test_non_finite_times_rejected(t0, t_final, dt):
+    with pytest.raises(InvalidConfigError):
+        integrate_to(np.ones(2), t0, t_final, dt, lambda u, t: 0.0 * u)
+
+
 def test_dt_refinement_time_error_negligible():
     # At dt = 0.01/n the spatial error dominates: halving dt moves the final
     # state by far less than 0.01 percent.
