@@ -50,8 +50,33 @@ def _traveling_exp(x, t):
     return np.exp(np.sin(x - t))
 
 
+class _NodeTrig:
+    """(sin x, cos x) of the last read-only node array seen, keyed by identity.
+
+    The operators evaluate a source on the same frozen node array at every
+    stage, so a source written through sin(x - t) = sx cos t - cx sin t and
+    cos(x - t) = cx cos t + sx sin t costs one exp per call.  Only arrays that
+    own their data and are read-only are kept: a writable array, or a view
+    whose base could change under it, is evaluated afresh every call.
+    """
+
+    def __init__(self):
+        self._x = None
+        self._sin_cos = None
+
+    def __call__(self, x):
+        if x is self._x and not x.flags.writeable:
+            return self._sin_cos
+        sin_cos = (np.sin(x), np.cos(x))
+        if isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable:
+            self._x, self._sin_cos = x, sin_cos
+        return sin_cos
+
+
 def _example1() -> CaseSpec:
     # alpha = sin x vanishes with simple zeros at 0, pi, 2*pi.
+    node_trig = _NodeTrig()
+
     def u_t(x, t):
         return -np.cos(x - t) * _traveling_exp(x, t)
 
@@ -59,7 +84,10 @@ def _example1() -> CaseSpec:
         return np.cos(x - t) * _traveling_exp(x, t)
 
     def source(x, t):
-        return _traveling_exp(x, t) * (np.cos(x) + (np.sin(x) - 1.0) * np.cos(x - t))
+        # exp(sin(x - t)) * (cos x + (sin x - 1) cos(x - t))
+        sx, cx = node_trig(x)
+        ct, st = np.cos(t), np.sin(t)
+        return np.exp(sx * ct - cx * st) * (cx + (sx - 1.0) * (cx * ct + sx * st))
 
     return CaseSpec(
         case_id="example1",
@@ -75,6 +103,8 @@ def _example1() -> CaseSpec:
 
 def _example2() -> CaseSpec:
     # alpha = sin^2 x vanishes to second order at 0, pi, 2*pi.
+    node_trig = _NodeTrig()
+
     def alpha(x):
         return np.sin(x) ** 2
 
@@ -88,8 +118,11 @@ def _example2() -> CaseSpec:
         return np.cos(x - t) * _traveling_exp(x, t)
 
     def source(x, t):
-        return _traveling_exp(x, t) * (
-            np.sin(2.0 * x) + (np.sin(x) ** 2 - 1.0) * np.cos(x - t)
+        # exp(sin(x - t)) * (sin 2x + (sin^2 x - 1) cos(x - t))
+        sx, cx = node_trig(x)
+        ct, st = np.cos(t), np.sin(t)
+        return np.exp(sx * ct - cx * st) * (
+            2.0 * sx * cx + (sx * sx - 1.0) * (cx * ct + sx * st)
         )
 
     return CaseSpec(

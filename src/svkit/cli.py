@@ -60,8 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -75,6 +79,10 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 _FILE_PARSERS = {
     "example": str,
     "scheme": str,
@@ -85,7 +93,7 @@ _FILE_PARSERS = {
     "tie_break": str,
     "perturb": float,
     "seed": int,
-    "compare_dg": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "compare_dg": lambda s: _BOOL_WORDS[s.lower()],
     "format": str,
     "out": str,
 }
@@ -97,7 +105,7 @@ def _merge(cli_value, file_values: dict, key: str, default):
     if key in file_values:
         try:
             return _FILE_PARSERS[key](file_values[key])
-        except ValueError:
+        except (KeyError, ValueError):
             raise InvalidConfigError(f"bad value for {key!r}: {file_values[key]!r}") from None
     return default
 

@@ -62,6 +62,7 @@ class DGOperator:
         self._stencil = stencil
 
         if source is not None:
+            x.setflags(write=False)  # lets a source memoise per-node factors
             self._x_quad = x
             # The source moments are (h/2) sum_q w_q g L_m, times the inverse mass.
             self._wb = (wg[:, None] * basis) * (0.5 * mode_scale)

@@ -202,6 +202,8 @@ class SVOperator:
         cv_inv = np.empty((n, k + 1, k + 1))
         for kind in RuleKind:
             mask = partition.kinds == kind
+            if not mask.any():  # LSV uses only Gauss, RSV at most the two Radau kinds
+                continue
             stencil[mask] = (weights[mask] @ _sv_patterns(kind, k)).reshape(-1, k + 1, 3 * (k + 1))
             cv_inv[mask] = _cv_matrix(kind, k).inverse
         cv_inv *= (2.0 / mesh.sizes)[:, None, None]
@@ -214,6 +216,7 @@ class SVOperator:
             mid = 0.5 * (sp[:, 1:] + sp[:, :-1])[..., None]        # (N, k+1, 1)
             half = 0.5 * (sp[:, 1:] - sp[:, :-1])[..., None]       # (N, k+1, 1)
             self._src_x = mid + half * sg[None, None, :]           # (N, k+1, q)
+            self._src_x.setflags(write=False)  # lets a source memoise per-node factors
             self._src_w = half * wg[None, None, :]                 # (N, k+1, q)
             self._cv_inv = cv_inv
             self._src_memo: tuple[float, np.ndarray] | None = None

@@ -66,3 +66,93 @@ def test_without_source():
     case = manufactured_case(1).without_source()
     assert case.source is None
     assert case.case_id.endswith("-free")
+
+
+# -- sources from per-node sin/cos against their closed forms -----------------
+
+
+def _closed_form_source(case_id, x, t):
+    # g = u_t + (alpha u)_x written out directly, one transcendental per term
+    u = np.exp(np.sin(x - t))
+    if case_id == "example1":
+        return u * (np.cos(x) + (np.sin(x) - 1.0) * np.cos(x - t))
+    return u * (np.sin(2.0 * x) + (np.sin(x) ** 2 - 1.0) * np.cos(x - t))
+
+
+def _assert_matches_closed_form(case_id, g, x, t):
+    ref = _closed_form_source(case_id, x, t)
+    assert g.shape == ref.shape
+    assert np.all(np.abs(g - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def _frozen(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+@pytest.mark.parametrize("read_only", [False, True])
+@pytest.mark.parametrize("array_t", [False, True])
+def test_source_matches_closed_form(case_id, read_only, array_t):
+    case = manufactured_case(case_id)
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        x = rng.uniform(-1.0, 2 * np.pi + 1.0, (16, 3, 4))
+        if read_only:
+            x = _frozen(x)
+        for _ in range(3):
+            t = rng.uniform(0.0, 2.0, x.shape) if array_t else float(rng.uniform(0.0, 2.0))
+            _assert_matches_closed_form(case_id, case.source(x, t), x, t)
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+def test_source_memo_never_serves_stale_nodes(case_id):
+    case = manufactured_case(case_id)
+    rng = np.random.default_rng(5)
+    shape = (12, 4, 5)
+    first = _frozen(rng.uniform(0.0, 2 * np.pi, shape))
+    second = _frozen(rng.uniform(0.0, 2 * np.pi, shape))
+    for x, t in [(first, 0.3), (second, 0.3), (first, 0.7), (second, 0.1)]:
+        _assert_matches_closed_form(case_id, case.source(x, t), x, t)
+
+    # a writable array changed in place between calls is read afresh
+    x = rng.uniform(0.0, 2 * np.pi, shape)
+    for t in (0.2, 0.2, 0.4):
+        _assert_matches_closed_form(case_id, case.source(x, t), x, t)
+        x += rng.uniform(-0.5, 0.5, shape)
+
+    # so is a read-only view whose writable base changes under it
+    base = rng.uniform(0.0, 2 * np.pi, shape)
+    view = base[...]
+    view.setflags(write=False)
+    for t in (0.2, 0.5):
+        _assert_matches_closed_form(case_id, case.source(view, t), view, t)
+        base += 0.25
+
+    # and so is a memoised array made writable again and changed
+    case.source(first, 0.3)
+    first.setflags(write=True)
+    first += 0.25
+    _assert_matches_closed_form(case_id, case.source(first, 0.3), first, 0.3)
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+def test_read_only_nodes_take_sin_and_cos_once(case_id, monkeypatch):
+    case = manufactured_case(case_id)
+    x = _frozen(np.random.default_rng(8).uniform(0.0, 2 * np.pi, (10, 3, 4)))
+    calls = {"sin": 0, "cos": 0}
+
+    def counting(name, fn):
+        def wrapped(arg, *args, **kwargs):
+            if np.shape(arg) == x.shape:
+                calls[name] += 1
+            return fn(arg, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np, "sin", counting("sin", np.sin))
+    monkeypatch.setattr(np, "cos", counting("cos", np.cos))
+    case.source(x, 0.25)
+    case.source(x, 0.5)
+    assert calls == {"sin": 1, "cos": 1}

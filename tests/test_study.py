@@ -213,10 +213,36 @@ def test_cli_rejects_non_finite_times(flag, value, capsys):
     assert capsys.readouterr().err.startswith("svkit: ")
 
 
-@pytest.mark.parametrize("line", ["schemes = lsv", "seed = one"])
+@pytest.mark.parametrize("line", ["schemes = lsv", "seed = one", "compare_dg = maybe"])
 def test_cli_rejects_bad_config_file(tmp_path, capsys, line):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(f"k = 1\nn = 8\n{line}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--t-final", "0.01"]) == 1
+    assert capsys.readouterr().err.startswith("svkit: ")
+
+
+def test_cli_names_bad_boolean_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("k = 1\nn = 8\ncompare_dg = maybe\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--t-final", "0.01"]) == 1
+    assert capsys.readouterr().err == "svkit: bad value for 'compare_dg': 'maybe'\n"
+
+
+@pytest.mark.parametrize(
+    "word, expected",
+    [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+     ("0", False), ("False", False), ("NO", False), ("off", False)],
+)
+def test_cli_reads_boolean_words_in_config_file(tmp_path, capsys, word, expected):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"k = 1\nn = 8\ncompare_dg = {word}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--t-final", "0.01"]) == 0
+    assert ("dg_diff_l2" in capsys.readouterr().out) is expected
+
+
+def test_cli_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_bytes(b"n = 8\xff\n")
     assert main(["--config", str(cfg), "--t-final", "0.01"]) == 1
     assert capsys.readouterr().err.startswith("svkit: ")
 

@@ -329,3 +329,21 @@ def test_stacked_operator_matches_element_loop(
     back = interpolate(lambda x: u.eval_ref(nodes.s), part, coeff, interp_kind)
     scale = max(1.0, float(np.max(np.abs(u.coeffs))))
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_source_node_memo_matches_fresh_evaluation(scheme, k):
+    case = manufactured_case(1)
+    mesh = build_mesh(8, 0.3, seed=k)
+    coeff = FluxCoefficient(case.alpha, mesh)
+    part = build_partition(mesh, k, scheme, coeff)
+    config = SchemeConfig(k, scheme)
+    op = SVOperator(config, part, coeff, case.source)
+    assert not op._src_x.flags.writeable
+    # a fresh writable copy of x defeats the source's node-factor memo
+    fresh = SVOperator(config, part, coeff, lambda x, t: case.source(np.array(x), t))
+    u0 = interpolate(case.u0, part, coeff, InterpKind.AUTO)
+    got = integrate_to(u0, 0.0, 0.05, 0.01 / 8, op).coeffs
+    ref = integrate_to(u0, 0.0, 0.05, 0.01 / 8, fresh).coeffs
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
