@@ -22,8 +22,9 @@ class DGOperator:
     """Precomputed upwind-DG right-hand side on a fixed mesh.
 
     The constructor folds the volume term, the two upwind interface traces and
-    the inverse mass matrix into one block stencil, so a call is one neighbour
-    gather and one batched matrix product.
+    the inverse mass matrix into one element-last block stencil (the layout of
+    :func:`svkit.sv.apply_stencil`), so a call is one neighbour gather and one
+    contraction.
     """
 
     def __init__(self, mesh: Mesh1D, k: int, coeff: FluxCoefficient, source=None):
@@ -49,15 +50,16 @@ class DGOperator:
         # flux times the test trace (-1)^m, minus the right-interface flux,
         # plus the volume term.  Each is linear in the element's upwind
         # weights and its alpha samples, so one product with fixed patterns
-        # builds every element.
+        # builds every element.  The patterns' columns are (mode, side), the
+        # column order of the element-last stencil.
         rows = trace_rows(k)
-        patterns = np.zeros((4 + q, k + 1, 3 * (k + 1)))
-        patterns[:2] = alt[:, None] * rows[:2, None, :]
-        patterns[2:4] = -rows[2:, None, :]
-        patterns[4:, :, k + 1 : 2 * (k + 1)] = wd[:, :, None] * basis[:, None, :]
-        patterns *= mode_scale[:, None]
+        patterns = np.zeros((4 + q, k + 1, k + 1, 3))
+        patterns[:2] = alt[:, None, None] * rows[:2, None]
+        patterns[2:4] = -rows[2:, None]
+        patterns[4:, :, :, 1] = wd[:, :, None] * basis[:, None, :]
+        patterns *= mode_scale[:, None, None]
         weights = np.column_stack([upwind_weights(coeff), a_quad]) / mesh.sizes[:, None]
-        stencil = (weights @ patterns.reshape(4 + q, -1)).reshape(n, k + 1, -1)
+        stencil = (patterns.reshape(4 + q, -1).T @ weights.T).reshape(k + 1, 3 * (k + 1), n)
         stencil.setflags(write=False)
         self._stencil = stencil
 

@@ -80,6 +80,8 @@ def build_mesh(n: int, perturbation: float = 0.0, seed: int = 0) -> Mesh1D:
     """
     if n < 2:
         raise InvalidConfigError(f"element count must be >= 2, got {n}")
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
     if not 0.0 <= perturbation < MAX_PERTURBATION:
         raise InvalidConfigError(
             f"perturbation must lie in [0, {MAX_PERTURBATION}), got {perturbation}"

@@ -29,39 +29,35 @@ from .quadrature import gauss_panel
 _BISECT_STEPS = 60
 
 
-def _omega_prime(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Derivative of prod_j (x - nodes_j), evaluated via the product-rule sum."""
-    diff = x[..., None] - nodes  # (..., k+1)
-    total = np.zeros_like(x)
-    m = nodes.shape[-1]
-    for j in range(m):
-        sel = np.delete(diff, j, axis=-1)
-        total += np.prod(sel, axis=-1)
-    return total
-
-
 def _extrema_batch(nodes: np.ndarray) -> np.ndarray:
     """Roots of the node-polynomial derivative, one per consecutive node gap.
 
     ``nodes`` is (N, k+1) with strictly increasing rows; bisection keeps each
-    root bracketed inside its gap, so interlacing holds by construction.
+    root bracketed inside its gap, so interlacing holds by construction.  All
+    gaps of all elements are bisected at once, with the element index
+    innermost.  The derivative of prod_j (x - nodes_j) is summed over j, in
+    index order, from the product of the other factors, also in index order.
     """
-    lo = nodes[:, :-1].copy()
-    hi = nodes[:, 1:].copy()
-    k = lo.shape[1]
+    nodes_t = np.ascontiguousarray(nodes.T)  # (k+1, N)
+    lo = nodes_t[:-1].copy()
+    hi = nodes_t[1:].copy()
+    k = lo.shape[0]
+    # Row j lists the k factors that remain when factor j is left out.
+    others = np.array([np.delete(np.arange(k + 1), j) for j in range(k + 1)])
     # At the left end of gap j the derivative has sign (-1)^(k-j): the factors
     # from nodes above the gap are negative, those below positive.
-    sign_lo = np.where((k - np.arange(k)) % 2 == 0, 1.0, -1.0)[None, :]
-    sign_lo = np.broadcast_to(sign_lo, lo.shape)
+    sign_lo = np.where((k - np.arange(k)) % 2 == 0, 1.0, -1.0)[:, None]
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        fm = np.empty_like(mid)
-        for j in range(k):
-            fm[:, j] = _omega_prime(mid[:, j], nodes)
+        diff = mid[:, None, :] - nodes_t[None, :, :]                 # (k, k+1, N)
+        prods = np.prod(np.take(diff, others, axis=1), axis=2)      # (k, k+1, N)
+        fm = np.zeros_like(mid)
+        for j in range(k + 1):
+            fm += prods[:, j]
         same = fm * sign_lo > 0.0
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    return np.ascontiguousarray((0.5 * (lo + hi)).T)
 
 
 def node_polynomial_extrema(nodes) -> np.ndarray:

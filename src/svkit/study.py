@@ -68,6 +68,8 @@ class StudyConfig:
             raise InvalidConfigError("all resolutions must satisfy n >= 4")
         if list(self.n_values) != sorted(set(self.n_values)):
             raise InvalidConfigError("resolutions must be strictly increasing")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.tie_break not in _TIE_BREAKS:
             raise InvalidConfigError(f"unknown tie break {self.tie_break!r}")
         if self.fmt not in ("csv", "md"):

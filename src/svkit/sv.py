@@ -7,6 +7,12 @@ degree-k polynomial is recovered from its k+1 control-volume integrals by its
 rule's reference inverse.  The result is linear in the state and couples each
 element only to its two neighbours, so the operator is built once as a block
 stencil over [c_{i-1}, c_i, c_{i+1}].
+
+Layout: the stencil and the per-element source arrays keep the element index
+last, so every product is a contraction whose innermost loop runs over the
+elements; an element-stacked ``np.matmul`` would instead make one small BLAS
+call per element.  A stencil is a C-contiguous (k+1, 3(k+1), N) array whose
+columns are ordered (mode, side), side running over [i-1, i, i+1].
 """
 
 from __future__ import annotations
@@ -99,9 +105,9 @@ def upwind_fluxes(u: PiecewisePoly, coeff: FluxCoefficient) -> np.ndarray:
 
 
 def neighbour_index(n: int) -> np.ndarray:
-    """(n, 3) element indices [i-1, i, i+1] on the periodic mesh."""
+    """(3, n) element indices [i-1, i, i+1] on the periodic mesh, read-only."""
     i = np.arange(n)
-    nbr = np.stack([(i - 1) % n, i, (i + 1) % n], axis=1)
+    nbr = np.stack([(i - 1) % n, i, (i + 1) % n])
     nbr.setflags(write=False)
     return nbr
 
@@ -122,56 +128,64 @@ def upwind_weights(coeff: FluxCoefficient) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def trace_rows(k: int) -> np.ndarray:
-    """(4, 3(k+1)) one-sided traces as rows over [c_{i-1}, c_i, c_{i+1}], read-only.
+    """(4, k+1, 3) one-sided traces as rows over (mode, side), read-only.
 
     The rows are the right trace (mode sum) of element i-1, the left trace
     (alternating sum) of element i, the right trace of element i and the left
     trace of element i+1.
     """
-    rows = np.zeros((4, 3, k + 1))
-    rows[0, 0] = 1.0
-    rows[1, 1] = (-1.0) ** np.arange(k + 1)
-    rows[2, 1] = 1.0
-    rows[3, 2] = rows[1, 1]
-    rows = rows.reshape(4, -1)
+    rows = np.zeros((4, k + 1, 3))
+    rows[0, :, 0] = 1.0
+    rows[1, :, 1] = (-1.0) ** np.arange(k + 1)
+    rows[2, :, 1] = 1.0
+    rows[3, :, 2] = rows[1, :, 1]
     rows.setflags(write=False)
     return rows
 
 
 def apply_stencil(stencil: np.ndarray, nbr: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(N, k+1) product of an (N, k+1, 3(k+1)) block stencil with the gathered neighbours."""
-    gathered = np.take(c, nbr, axis=0)  # as c[nbr], without fancy indexing's overhead
-    return np.matmul(stencil, gathered.reshape(c.shape[0], -1, 1))[..., 0]
+    """(N, k+1) product of a (k+1, 3(k+1), N) block stencil with the gathered neighbours.
+
+    The gather of the (3, N) neighbour index from the transposed (k+1, N)
+    coefficients is already ordered (mode, side, element), so the product is
+    one contraction over the middle axis with the elements innermost.
+    """
+    gathered = np.take(c.T, nbr, axis=1).reshape(-1, c.shape[0])
+    return np.ascontiguousarray(np.einsum("ijn,jn->in", stencil, gathered).T)
 
 
 @lru_cache(maxsize=None)
 def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
-    """(k+4, (k+1) * 3(k+1)) reference stencils of one rule kind, per unit weight, read-only.
+    """((k+1) * 3(k+1), k+4) reference stencils of one rule kind, per unit weight, read-only.
 
     The weights are the four columns of :func:`upwind_weights`, then alpha at
     the k interior CV faces.  For each, the flux at every CV face is a row
-    over [c_{i-1}, c_i, c_{i+1}] (interior faces: the element's own Legendre
-    modes), and the pattern is the CV inverse times the face differences.
+    over (mode, side) (interior faces: the element's own Legendre modes), and
+    the pattern is the CV inverse times the face differences.  The patterns
+    are stored transposed, one row per stencil entry, so that their product
+    with the (k+4, N) weights is an element-last stencil.
     """
     m = k + 1
-    faces = np.zeros((k + 4, k + 2, 3 * m))
+    faces = np.zeros((k + 4, k + 2, m, 3))
     rows = trace_rows(k)
     faces[:2, 0] = rows[:2]
     faces[2:4, -1] = rows[2:]
     interior = make_rule(kind, k).points[1 : k + 1]
-    faces[4 + np.arange(k), 1 + np.arange(k), m : 2 * m] = legendre_basis(k, interior)
-    patterns = (_cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])).reshape(k + 4, -1)
-    patterns.setflags(write=False)
-    return patterns
+    faces[4 + np.arange(k), 1 + np.arange(k), :, 1] = legendre_basis(k, interior)
+    faces = faces.reshape(k + 4, k + 2, 3 * m)
+    patterns = _cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])  # (k+4, m, 3m)
+    patterns_t = np.ascontiguousarray(patterns.transpose(1, 2, 0)).reshape(-1, k + 4)
+    patterns_t.setflags(write=False)
+    return patterns_t
 
 
 class SVOperator:
     """Precomputed spectral-volume right-hand side for a fixed partition.
 
     The constructor folds the upwind interface fluxes, the interior-face
-    fluxes and each element's control-volume inverse into one block stencil,
-    so a call is one neighbour gather and one batched matrix product whatever
-    the elements' rule kinds.
+    fluxes and each element's control-volume inverse into one element-last
+    block stencil, so a call is one neighbour gather and one contraction
+    whatever the elements' rule kinds.
     """
 
     def __init__(
@@ -194,40 +208,50 @@ class SVOperator:
         self._k = k
         self._nbr = neighbour_index(n)
 
-        # Each element's stencil is its weights, times 2/h, times its rule's
-        # patterns; the reference CV inverse, times 2/h, maps the source.
+        # Each element's stencil is its rule's patterns times its weights,
+        # times 2/h; the reference CV inverse, times 2/h, maps the source.
+        # Per rule kind in use, one product with the weights zeroed outside
+        # the kind's elements: no gather or scatter, and the sum over kinds
+        # adds exact zeros.  LSV uses Gauss alone, RSV at most the two Radau
+        # kinds.
         a_int = np.asarray(coeff.alpha(partition.subpoints[:, 1 : k + 1]), dtype=float)
         weights = np.column_stack([upwind_weights(coeff), a_int]) * (2.0 / mesh.sizes)[:, None]
-        stencil = np.empty((n, k + 1, 3 * (k + 1)))
-        cv_inv = np.empty((n, k + 1, k + 1))
+        kinds, masks = [], []
         for kind in RuleKind:
             mask = partition.kinds == kind
-            if not mask.any():  # LSV uses only Gauss, RSV at most the two Radau kinds
-                continue
-            stencil[mask] = (weights[mask] @ _sv_patterns(kind, k)).reshape(-1, k + 1, 3 * (k + 1))
-            cv_inv[mask] = _cv_matrix(kind, k).inverse
-        cv_inv *= (2.0 / mesh.sizes)[:, None, None]
+            if mask.any():
+                kinds.append(kind)
+                masks.append(mask)
+            if mask.all():  # one kind covers the mesh: no further comparisons
+                break
+        stencil = _sv_patterns(kinds[0], k) @ (weights.T * masks[0])
+        for kind, mask in zip(kinds[1:], masks[1:]):
+            stencil += _sv_patterns(kind, k) @ (weights.T * mask)
+        stencil = stencil.reshape(k + 1, 3 * (k + 1), n)
         stencil.setflags(write=False)
         self._stencil = stencil
 
         if source is not None:
             sg, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
-            sp = partition.subpoints  # (N, k+2)
-            mid = 0.5 * (sp[:, 1:] + sp[:, :-1])[..., None]        # (N, k+1, 1)
-            half = 0.5 * (sp[:, 1:] - sp[:, :-1])[..., None]       # (N, k+1, 1)
-            self._src_x = mid + half * sg[None, None, :]           # (N, k+1, q)
+            sp = np.ascontiguousarray(partition.subpoints.T)  # (k+2, N)
+            mid = 0.5 * (sp[1:] + sp[:-1])[:, None, :]        # (k+1, 1, N)
+            half = 0.5 * (sp[1:] - sp[:-1])[:, None, :]       # (k+1, 1, N)
+            # C-contiguous and owning its data: a strided node array slows
+            # every source evaluation, and the source memoises only owners.
+            self._src_x = mid + half * sg[:, None]            # (k+1, q, N)
             self._src_x.setflags(write=False)  # lets a source memoise per-node factors
-            self._src_w = half * wg[None, None, :]                 # (N, k+1, q)
-            self._cv_inv = cv_inv
+            self._src_w = half * wg[:, None]                  # (k+1, q, N)
+            inverses = np.stack([_cv_matrix(kind, k).inverse for kind in kinds], axis=-1)
+            self._cv_inv = inverses @ (np.array(masks) * (2.0 / mesh.sizes))  # (k+1, k+1, N)
             self._src_memo: tuple[float, np.ndarray] | None = None
 
     def _source_coeffs(self, t: float) -> np.ndarray:
-        """CV source integrals at time t, mapped to modal coefficients."""
+        """CV source integrals at time t, mapped to (N, k+1) modal coefficients."""
         if self._src_memo is not None and self._src_memo[0] == t:
             return self._src_memo[1]
         g = np.asarray(self.source(self._src_x, t), dtype=float)
-        cv = np.einsum("njq,njq->nj", g, self._src_w)
-        mapped = np.matmul(self._cv_inv, cv[..., None])[..., 0]
+        cv = np.einsum("jqn,jqn->jn", g, self._src_w)
+        mapped = np.ascontiguousarray(np.einsum("ijn,jn->in", self._cv_inv, cv).T)
         self._src_memo = (t, mapped)
         return mapped
 

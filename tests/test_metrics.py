@@ -6,8 +6,15 @@ from hypothesis import strategies as st
 from svkit.cases import manufactured_case
 from svkit.exceptions import BelowRoundoffError
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
-from svkit.metrics import compare_sv_dg, convergence_orders, error_report, node_polynomial_extrema
-from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate
+from svkit.metrics import (
+    _BISECT_STEPS,
+    _extrema_batch,
+    compare_sv_dg,
+    convergence_orders,
+    error_report,
+    node_polynomial_extrema,
+)
+from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate, interpolation_nodes
 
 
 # -- extrema points ---------------------------------------------------------------
@@ -54,6 +61,53 @@ def test_extrema_interlace(nodes):
     z = node_polynomial_extrema(nodes)
     assert np.all(z > nodes[:-1])
     assert np.all(z < nodes[1:])
+
+
+def _omega_prime_per_gap(x, nodes):
+    """Derivative of prod_j (x - nodes_j), evaluated via the product-rule sum."""
+    diff = x[..., None] - nodes  # (..., k+1)
+    total = np.zeros_like(x)
+    for j in range(nodes.shape[-1]):
+        total += np.prod(np.delete(diff, j, axis=-1), axis=-1)
+    return total
+
+
+def _extrema_per_gap(nodes):
+    """Reference bisection: one gap at a time, element-first arrays."""
+    lo = nodes[:, :-1].copy()
+    hi = nodes[:, 1:].copy()
+    k = lo.shape[1]
+    sign_lo = np.broadcast_to(np.where((k - np.arange(k)) % 2 == 0, 1.0, -1.0), lo.shape)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        fm = np.empty_like(mid)
+        for j in range(k):
+            fm[:, j] = _omega_prime_per_gap(mid[:, j], nodes)
+        same = fm * sign_lo > 0.0
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_extrema_batch_bit_identical_to_per_gap_bisection(k):
+    rng = np.random.default_rng(k)
+    gaps = rng.uniform(0.01, 1.0, (40, k + 1))
+    nodes = np.cumsum(gaps, axis=1) + rng.uniform(-5.0, 5.0, (40, 1))
+    z = _extrema_batch(nodes)
+    assert z.flags.c_contiguous
+    assert np.array_equal(z, _extrema_per_gap(nodes))
+
+
+@pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12])
+def test_extrema_batch_bit_identical_on_interpolation_nodes(scheme, k):
+    case = manufactured_case(1)
+    mesh = build_mesh(13, 0.3, seed=k)
+    coeff = FluxCoefficient(case.alpha, mesh)
+    part = build_partition(mesh, k, scheme, coeff)
+    nodes = interpolation_nodes(part, coeff, InterpKind.AUTO).x
+    assert np.array_equal(_extrema_batch(nodes), _extrema_per_gap(nodes))
 
 
 # -- error functionals --------------------------------------------------------------

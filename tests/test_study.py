@@ -40,6 +40,11 @@ def test_config_rejects_orders_out_of_range(k_values):
         StudyConfig(k_values=k_values)
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(InvalidConfigError):
+        StudyConfig(perturbation=0.1, seed=-1)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -202,6 +207,12 @@ def test_cli_rejects_bad_flags(tmp_path):
     ],
 )
 def test_cli_rejects_bad_lists(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("svkit: ")
+
+
+def test_cli_rejects_negative_seed(capsys):
+    argv = ["--k", "1", "--n", "8,16", "--t-final", "0.01", "--seed", "-1", "--perturb", "0.1"]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("svkit: ")
 

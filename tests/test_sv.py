@@ -13,8 +13,17 @@ from svkit.poly import (
     interpolation_nodes,
     triple_norm,
 )
-from svkit.quadrature import RuleKind, integrate_panel, make_rule
-from svkit.sv import SOURCE_QUAD_EXTRA, SchemeConfig, SVOperator, cv_matrix, upwind_fluxes
+from svkit.quadrature import RuleKind, gauss_panel, integrate_panel, make_rule
+from svkit.sv import (
+    SOURCE_QUAD_EXTRA,
+    SchemeConfig,
+    SVOperator,
+    _sv_patterns,
+    apply_stencil,
+    cv_matrix,
+    upwind_fluxes,
+    upwind_weights,
+)
 from svkit.dg import DGOperator
 from svkit.timestep import integrate_to
 from svkit.exceptions import InvalidConfigError
@@ -340,10 +349,112 @@ def test_source_node_memo_matches_fresh_evaluation(scheme, k):
     part = build_partition(mesh, k, scheme, coeff)
     config = SchemeConfig(k, scheme)
     op = SVOperator(config, part, coeff, case.source)
+    # The source memo keeps only read-only owners; a strided array is slow.
     assert not op._src_x.flags.writeable
+    assert op._src_x.flags.owndata
+    assert op._src_x.flags.c_contiguous
     # a fresh writable copy of x defeats the source's node-factor memo
     fresh = SVOperator(config, part, coeff, lambda x, t: case.source(np.array(x), t))
     u0 = interpolate(case.u0, part, coeff, InterpKind.AUTO)
     got = integrate_to(u0, 0.0, 0.05, 0.01 / 8, op).coeffs
     ref = integrate_to(u0, 0.0, 0.05, 0.01 / 8, fresh).coeffs
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# -- element-last layout against the element-stacked products ----------------------
+
+
+def _element_stacked(stencil):
+    """(N, k+1, 3(k+1)) stencil, columns (side, mode), rebuilt from an element-last one."""
+    m, _, n = stencil.shape
+    return stencil.reshape(m, m, 3, n).transpose(3, 0, 2, 1).reshape(n, m, 3 * m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.sampled_from([4]) | st.integers(4, 24),
+    jitter=st.floats(0.0, 0.35),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 12),
+    scheme=st.sampled_from(["rsv", "lsv", "dg"]),
+    shift=st.sampled_from([0.0, np.pi / 3]),
+)
+def test_apply_stencil_matches_element_stacked_matmul(n, jitter, seed, k, scheme, shift):
+    mesh = build_mesh(n, jitter, seed=seed)
+    coeff = FluxCoefficient(lambda x: np.sin(x - shift), mesh)
+    if scheme == "dg":
+        op = DGOperator(mesh, k, coeff)
+    else:
+        variant = Scheme(scheme)
+        op = SVOperator(SchemeConfig(k, variant), build_partition(mesh, k, variant, coeff), coeff)
+    assert op._stencil.shape == (k + 1, 3 * (k + 1), n)
+    assert op._stencil.flags.c_contiguous and not op._stencil.flags.writeable
+    c = np.random.default_rng(seed).standard_normal((n, k + 1))
+
+    out = apply_stencil(op._stencil, op._nbr, c)
+    stacked = _element_stacked(op._stencil)
+    i = np.arange(n)
+    gathered = c[np.stack([(i - 1) % n, i, (i + 1) % n], axis=1)].reshape(n, -1, 1)
+    ref = np.matmul(stacked, gathered)[..., 0]
+    bound = 1e-14 * np.matmul(np.abs(stacked), np.abs(gathered))[..., 0]
+    assert out.shape == (n, k + 1) and out.flags.c_contiguous
+    assert np.all(np.abs(out - ref) <= bound)
+
+
+@pytest.mark.parametrize(
+    "scheme, alpha",
+    [
+        (Scheme.LSV, np.sin),                                   # Gauss everywhere
+        (Scheme.RSV, lambda x: 1.5 + np.sin(x)),                # right Radau everywhere
+        (Scheme.RSV, np.sin),                                   # both Radau kinds
+    ],
+)
+@pytest.mark.parametrize("n", [4, 13, 256])
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12])
+def test_stencil_matches_masked_build(scheme, alpha, n, k):
+    mesh = build_mesh(n, 0.3, seed=n + k)
+    coeff = FluxCoefficient(alpha, mesh)
+    part = build_partition(mesh, k, scheme, coeff)
+    op = SVOperator(SchemeConfig(k, scheme), part, coeff)
+
+    # Gather each kind's elements, multiply, scatter back.
+    a_int = coeff.alpha(part.subpoints[:, 1 : k + 1])
+    weights = np.column_stack([upwind_weights(coeff), a_int]) * (2.0 / mesh.sizes)[:, None]
+    masked = np.empty((k + 1, 3 * (k + 1), n))
+    scale = np.empty_like(masked)
+    for kind in set(part.kinds):
+        mask = part.kinds == kind
+        patterns = _sv_patterns(kind, k)
+        masked.reshape(-1, n)[:, mask] = patterns @ weights[mask].T
+        scale.reshape(-1, n)[:, mask] = np.abs(patterns) @ np.abs(weights[mask]).T
+    if len(set(part.kinds)) == 1:
+        assert np.array_equal(op._stencil, masked)
+    else:  # the per-kind products sum exact zeros, but BLAS may round differently
+        assert np.all(np.abs(op._stencil - masked) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("example", [1, 2])
+@pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 12])
+def test_source_map_matches_element_stacked_reference(example, scheme, k):
+    case = manufactured_case(example)
+    mesh = build_mesh(13, 0.3, seed=k)
+    coeff = FluxCoefficient(case.alpha, mesh)
+    part = build_partition(mesh, k, scheme, coeff)
+    op = SVOperator(SchemeConfig(k, scheme), part, coeff, case.source)
+    t = 0.3
+
+    # Each element's own CV quadrature and CV inverse, element index first.
+    sg, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
+    sp = part.subpoints
+    mid = 0.5 * (sp[:, 1:] + sp[:, :-1])[..., None]
+    half = 0.5 * (sp[:, 1:] - sp[:, :-1])[..., None]
+    cv = np.einsum("njq,njq->nj", case.source(mid + half * sg, t), half * wg)
+    cv_inv = np.array([cv_matrix(make_rule(kind, k)).inverse for kind in part.kinds])
+    cv_inv *= (2.0 / mesh.sizes)[:, None, None]
+    ref = np.matmul(cv_inv, cv[..., None])[..., 0]
+
+    got = op._source_coeffs(t)
+    scale = np.matmul(np.abs(cv_inv), np.abs(cv)[..., None])[..., 0]
+    assert got.shape == (13, k + 1) and got.flags.c_contiguous
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
