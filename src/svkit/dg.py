@@ -13,7 +13,7 @@ from .exceptions import InvalidConfigError
 from .mesh import FluxCoefficient, Mesh1D
 from .poly import PiecewisePoly
 from .quadrature import MAX_ORDER, gauss_panel, legendre_basis_deriv
-from .sv import apply_stencil, neighbour_index, trace_rows, upwind_weights
+from .sv import apply_stencil, neighbour_gather, trace_rows, upwind_weights
 
 VOLUME_QUAD_EXTRA = 3  # (k+3)-point Gauss for the non-polynomial volume term
 
@@ -34,7 +34,7 @@ class DGOperator:
         self.k = k
         self.source = source
         n = mesh.n_elements
-        self._nbr = neighbour_index(n)
+        self._gather = neighbour_gather(n, k)
 
         q = k + VOLUME_QUAD_EXTRA
         sg, wg = gauss_panel(q)
@@ -80,7 +80,7 @@ class DGOperator:
         return moments
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
-        out = apply_stencil(self._stencil, self._nbr, u.coeffs)
+        out = apply_stencil(self._stencil, self._gather, u.coeffs)
         if self.source is not None:
             out += self._source_moments(t)
         return PiecewisePoly(self.mesh, self.k, out)

@@ -104,12 +104,17 @@ def upwind_fluxes(u: PiecewisePoly, coeff: FluxCoefficient) -> np.ndarray:
 # -- block stencils: du/dt = A u + s(t), with A coupling each element to its two neighbours
 
 
-def neighbour_index(n: int) -> np.ndarray:
-    """(3, n) element indices [i-1, i, i+1] on the periodic mesh, read-only."""
+def neighbour_gather(n: int, k: int) -> np.ndarray:
+    """(3(k+1), n) flat indices of [c_{i-1}, c_i, c_{i+1}] in a C-ordered (n, k+1) array, read-only.
+
+    Row 3m + s holds mode m of element i - 1 + s on the periodic mesh: the
+    (mode, side) column order of the stencils.
+    """
     i = np.arange(n)
-    nbr = np.stack([(i - 1) % n, i, (i + 1) % n])
-    nbr.setflags(write=False)
-    return nbr
+    nbr = np.stack([(i - 1) % n, i, (i + 1) % n])  # (3, n)
+    gather = (nbr * (k + 1) + np.arange(k + 1)[:, None, None]).reshape(3 * (k + 1), n)
+    gather.setflags(write=False)
+    return gather
 
 
 def upwind_weights(coeff: FluxCoefficient) -> np.ndarray:
@@ -143,15 +148,15 @@ def trace_rows(k: int) -> np.ndarray:
     return rows
 
 
-def apply_stencil(stencil: np.ndarray, nbr: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(N, k+1) product of a (k+1, 3(k+1), N) block stencil with the gathered neighbours.
+def apply_stencil(stencil: np.ndarray, gather: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(N, k+1) product of a (k+1, 3(k+1), N) block stencil with the neighbours' coefficients.
 
-    The gather of the (3, N) neighbour index from the transposed (k+1, N)
-    coefficients is already ordered (mode, side, element), so the product is
-    one contraction over the middle axis with the elements innermost.
+    With the index of :func:`neighbour_gather`, one flat take of ``c`` yields
+    the neighbours ordered (mode, side, element), so the product is one
+    contraction over the middle axis with the elements innermost, then one
+    contiguous copy of the transpose.
     """
-    gathered = np.take(c.T, nbr, axis=1).reshape(-1, c.shape[0])
-    return np.ascontiguousarray(np.einsum("ijn,jn->in", stencil, gathered).T)
+    return np.ascontiguousarray(np.einsum("ijn,jn->in", stencil, c.take(gather)).T)
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +211,7 @@ class SVOperator:
         n = mesh.n_elements
         self._mesh = mesh
         self._k = k
-        self._nbr = neighbour_index(n)
+        self._gather = neighbour_gather(n, k)
 
         # Each element's stencil is its rule's patterns times its weights,
         # times 2/h; the reference CV inverse, times 2/h, maps the source.
@@ -236,8 +241,8 @@ class SVOperator:
             sp = np.ascontiguousarray(partition.subpoints.T)  # (k+2, N)
             mid = 0.5 * (sp[1:] + sp[:-1])[:, None, :]        # (k+1, 1, N)
             half = 0.5 * (sp[1:] - sp[:-1])[:, None, :]       # (k+1, 1, N)
-            # C-contiguous and owning its data: a strided node array slows
-            # every source evaluation, and the source memoises only owners.
+            # A fresh C-contiguous array: strided nodes slow every source
+            # evaluation, and a source memoises only arrays that own their data.
             self._src_x = mid + half * sg[:, None]            # (k+1, q, N)
             self._src_x.setflags(write=False)  # lets a source memoise per-node factors
             self._src_w = half * wg[:, None]                  # (k+1, q, N)
@@ -256,7 +261,7 @@ class SVOperator:
         return mapped
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
-        out = apply_stencil(self._stencil, self._nbr, u.coeffs)
+        out = apply_stencil(self._stencil, self._gather, u.coeffs)
         if self.source is not None:
             out += self._source_coeffs(t)
         return PiecewisePoly(self._mesh, self._k, out)

@@ -391,7 +391,7 @@ def test_apply_stencil_matches_element_stacked_matmul(n, jitter, seed, k, scheme
     assert op._stencil.flags.c_contiguous and not op._stencil.flags.writeable
     c = np.random.default_rng(seed).standard_normal((n, k + 1))
 
-    out = apply_stencil(op._stencil, op._nbr, c)
+    out = apply_stencil(op._stencil, op._gather, c)
     stacked = _element_stacked(op._stencil)
     i = np.arange(n)
     gathered = c[np.stack([(i - 1) % n, i, (i + 1) % n], axis=1)].reshape(n, -1, 1)
