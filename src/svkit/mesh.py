@@ -13,6 +13,7 @@ defining difference between the two spectral-volume variants:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,8 +81,8 @@ def build_mesh(n: int, perturbation: float = 0.0, seed: int = 0) -> Mesh1D:
     """
     if n < 2:
         raise InvalidConfigError(f"element count must be >= 2, got {n}")
-    if seed < 0:
-        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not 0.0 <= perturbation < MAX_PERTURBATION:
         raise InvalidConfigError(
             f"perturbation must lie in [0, {MAX_PERTURBATION}), got {perturbation}"

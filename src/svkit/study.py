@@ -9,6 +9,7 @@ started from the identical interpolated initial state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,8 +69,8 @@ class StudyConfig:
             raise InvalidConfigError("all resolutions must satisfy n >= 4")
         if list(self.n_values) != sorted(set(self.n_values)):
             raise InvalidConfigError("resolutions must be strictly increasing")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.tie_break not in _TIE_BREAKS:
             raise InvalidConfigError(f"unknown tie break {self.tie_break!r}")
         if self.fmt not in ("csv", "md"):

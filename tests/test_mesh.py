@@ -50,6 +50,8 @@ def test_bad_configs_rejected():
     with pytest.raises(InvalidConfigError):
         build_mesh(8, 0.1, seed=-1)
     with pytest.raises(InvalidConfigError):
+        build_mesh(8, 0.1, seed=1.5)
+    with pytest.raises(InvalidConfigError):
         Mesh1D(np.array([0.0, 1.0, 2.0]))  # does not reach 2*pi
 
 

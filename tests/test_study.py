@@ -40,9 +40,10 @@ def test_config_rejects_orders_out_of_range(k_values):
         StudyConfig(k_values=k_values)
 
 
-def test_config_rejects_negative_seed():
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_config_rejects_bad_seed(seed):
     with pytest.raises(InvalidConfigError):
-        StudyConfig(perturbation=0.1, seed=-1)
+        StudyConfig(perturbation=0.1, seed=seed)
 
 
 @pytest.mark.parametrize(
