@@ -3,23 +3,27 @@
 Usage, from anywhere inside a git checkout of svkit:
 
     python3 scripts/bench_pairs.py --label large_n_kernels --base afff0be --head HEAD \\
-        --workload fine-forced --seeds 501-510 --seconds 30 --trace 0
+        --workload fine-forced --seeds 501-510 --trace 0
 
 Both commits are exported with ``git archive`` into one temporary directory
 each, so each side runs ``svbench/run.py`` from its committed files only, as
-the benchmark itself does.  Pair i runs the base first when i is even and the
-change first when i is odd.
+the benchmark itself does, for the run length the benchmark sets.  Pair i
+runs the base first when i is even and the change first when i is odd.
 
 The results go into ``BENCH_<label>.json`` at the top of the checkout, under
 the key ``<workload>`` (``<workload> --trace 1`` for traced runs), so one
-file can hold several workloads measured between the same two commits.  Each
-entry holds every run record (the benchmark's own JSON record, with its round
-times), and per metric each side's median and quartiles, the change's wins
+file can hold several workloads measured between the same two commits; a
+second run for a key adds its pairs to those already there.  Each entry holds
+every run record (the benchmark's own JSON record, with its round times and
+run length), per side the runs whose checks passed and the jobs attempted and
+failed, and per metric each side's median and quartiles, the change's wins
 (ties count for neither side) and the relative change of the medians.  For an
 end-to-end metric it also states whether the change stays within the
 benchmark's bound, and whether it shows a gain: at least nine wins in ten and
-a drop in medians larger than the base's interquartile range.  The file is
-rewritten after every pair, so an interrupted run keeps the pairs it finished.
+a drop in medians larger than the base's interquartile range.  Both verdicts
+are false when a run of the change fails its checks or fails a larger share
+of its jobs than the base run of its pair.  The file is rewritten after every
+pair, so an interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -59,10 +63,10 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def _run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One benchmark process; returns its full record from ``svbench/out/``."""
     cmd = [sys.executable, "svbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
@@ -79,7 +83,25 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def _summary(pairs: list[dict], declared: dict) -> dict:
+def _checks(pairs: list[dict]) -> dict:
+    """Per side the correct runs and the jobs attempted and failed; whether the change is sound.
+
+    The change is sound when every run of it is correct and none fails a
+    larger share of its jobs than the base run of its pair.
+    """
+    checks = {side: {"correct_runs": sum(bool(p[side]["correct"]) for p in pairs),
+                     "attempted": sum(p[side]["attempted"] for p in pairs),
+                     "failed": sum(p[side]["failed"] for p in pairs)}
+              for side in ("base", "head")}
+    checks["head_fails_more"] = sum(
+        p["head"]["failed"] * p["base"]["attempted"] > p["base"]["failed"] * p["head"]["attempted"]
+        for p in pairs)
+    checks["head_sound"] = (checks["head"]["correct_runs"] == len(pairs)
+                            and checks["head_fails_more"] == 0)
+    return checks
+
+
+def _summary(pairs: list[dict], declared: dict, head_sound: bool) -> dict:
     """Per metric: both sides' spread, the change's wins and the verdicts."""
     summary = {}
     for name in pairs[0]["base"]["metrics"]:
@@ -95,11 +117,20 @@ def _summary(pairs: list[dict], declared: dict) -> dict:
                  "median_change": (h["median"] - b["median"]) / b["median"] if b["median"] else None}
         if bound is not None:
             entry["bound"] = bound
-            entry["within_bound"] = sign * entry["median_change"] <= bound
-            entry["gain_shown"] = (wins >= 0.9 * len(pairs)
+            entry["within_bound"] = head_sound and sign * entry["median_change"] <= bound
+            entry["gain_shown"] = (head_sound and wins >= 0.9 * len(pairs)
                                    and sign * (b["median"] - h["median"]) > b["q3"] - b["q1"])
         summary[name] = entry
     return summary
+
+
+def _group(workload: str, trace: int, pairs: list[dict], declared: dict) -> dict:
+    """One BENCH file entry: the pairs, the run lengths their records report, checks and summary."""
+    checks = _checks(pairs)
+    return {"workload": workload, "trace": trace,
+            "seconds": sorted({p[side]["seconds"] for p in pairs for side in ("base", "head")}),
+            "pairs": pairs, "checks": checks,
+            "summary": _summary(pairs, declared, checks["head_sound"])}
 
 
 def main(argv=None) -> int:
@@ -109,7 +140,6 @@ def main(argv=None) -> int:
     parser.add_argument("--head", default="HEAD", help="changed commit (default HEAD)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=_parse_seeds, help="e.g. 501-510")
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -136,18 +166,16 @@ def main(argv=None) -> int:
         declared = {m["name"]: (m["better"], m.get("bound"))
                     for m in spec["end_to_end"] + spec["per_layer"]}
 
-        pairs = []
-        for i, seed in enumerate(args.seeds):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        pairs = doc["groups"].get(key, {}).get("pairs", [])
+        for seed in args.seeds:
+            order = ("base", "head") if len(pairs) % 2 == 0 else ("head", "base")
             pair = {"seed": seed, "order": list(order)}
             for side in order:
-                pair[side] = _run(checkouts[side], args.workload, seed, args.seconds, args.trace)
+                pair[side] = _run(checkouts[side], args.workload, seed, args.trace)
             pairs.append(pair)
-            doc["groups"][key] = {"workload": args.workload, "trace": args.trace,
-                                  "seconds": args.seconds, "pairs": pairs,
-                                  "summary": _summary(pairs, declared)}
+            doc["groups"][key] = _group(args.workload, args.trace, pairs, declared)
             bench_file.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-            print(f"pair {i + 1}/{len(args.seeds)} seed {seed} done", file=sys.stderr)
+            print(f"pair {len(pairs)} seed {seed} done", file=sys.stderr)
     return 0
 
 

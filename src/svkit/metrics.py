@@ -49,11 +49,10 @@ def _extrema_batch(nodes: np.ndarray) -> np.ndarray:
     sign_lo = np.where((k - np.arange(k)) % 2 == 0, 1.0, -1.0)[:, None]
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        diff = mid[:, None, :] - nodes_t[None, :, :]                 # (k, k+1, N)
-        prods = np.prod(np.take(diff, others, axis=1), axis=2)      # (k, k+1, N)
+        diff = mid[:, None, :] - nodes_t[None, :, :]  # (k, k+1, N)
         fm = np.zeros_like(mid)
         for j in range(k + 1):
-            fm += prods[:, j]
+            fm += np.prod(diff[:, others[j]], axis=1)
         same = fm * sign_lo > 0.0
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)

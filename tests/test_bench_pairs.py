@@ -1,0 +1,70 @@
+"""Verdicts of scripts/bench_pairs.py on fake benchmark records."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = bench_pairs
+_spec.loader.exec_module(bench_pairs)
+
+DECLARED = {"wall_s": ("lower", 0.25)}
+
+
+def _record(wall: float, correct: bool = True, attempted: int = 8, failed: int = 0) -> dict:
+    return {"seconds": 30, "correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+
+def _pairs(n: int = 10) -> list[dict]:
+    """n pairs where the change is clearly faster and every run is sound."""
+    return [{"seed": i, "order": ["base", "head"],
+             "base": _record(2.0 + 0.01 * i), "head": _record(1.3 + 0.01 * i)}
+            for i in range(n)]
+
+
+def test_sound_faster_change_shows_a_gain():
+    group = bench_pairs._group("fine-forced", 0, _pairs(), DECLARED)
+    assert group["checks"]["head_sound"]
+    assert group["checks"]["head"] == {"correct_runs": 10, "attempted": 80, "failed": 0}
+    assert group["seconds"] == [30]
+    wall = group["summary"]["wall_s"]
+    assert wall["head_wins"] == 10
+    assert wall["within_bound"] and wall["gain_shown"]
+
+
+def test_incorrect_change_run_voids_both_verdicts():
+    pairs = _pairs()
+    pairs[3]["head"]["correct"] = False
+    group = bench_pairs._group("fine-forced", 0, pairs, DECLARED)
+    assert group["checks"]["head"]["correct_runs"] == 9
+    assert not group["checks"]["head_sound"]
+    wall = group["summary"]["wall_s"]
+    assert not wall["within_bound"] and not wall["gain_shown"]
+
+
+@pytest.mark.parametrize(("base_failed", "head_failed", "head_attempted", "sound"), [
+    (0, 1, 8, False),   # the change fails a job the base does not
+    (1, 2, 8, False),   # a larger share of the same number of jobs
+    (1, 2, 16, True),   # the same share of twice as many jobs
+    (2, 1, 8, True),    # fewer failures than the base
+])
+def test_failed_share_against_the_base_run(base_failed, head_failed, head_attempted, sound):
+    pairs = _pairs()
+    pairs[0]["base"]["failed"] = base_failed
+    pairs[0]["head"].update(failed=head_failed, attempted=head_attempted)
+    group = bench_pairs._group("fine-forced", 0, pairs, DECLARED)
+    assert group["checks"]["head_fails_more"] == (0 if sound else 1)
+    assert group["summary"]["wall_s"]["gain_shown"] is sound
+
+
+def test_an_incorrect_base_run_does_not_void_the_change():
+    pairs = _pairs()
+    pairs[0]["base"]["correct"] = False
+    group = bench_pairs._group("fine-forced", 0, pairs, DECLARED)
+    assert group["checks"]["base"]["correct_runs"] == 9
+    assert group["summary"]["wall_s"]["gain_shown"]
