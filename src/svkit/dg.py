@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import InvalidConfigError
 from .mesh import FluxCoefficient, Mesh1D
 from .poly import PiecewisePoly
-from .quadrature import MAX_ORDER, gauss_panel, legendre_basis_deriv
+from .quadrature import check_order, gauss_panel, legendre_basis_deriv
 from .sv import apply_stencil, neighbour_gather, trace_rows, upwind_weights
 
 VOLUME_QUAD_EXTRA = 3  # (k+3)-point Gauss for the non-polynomial volume term
@@ -28,8 +27,7 @@ class DGOperator:
     """
 
     def __init__(self, mesh: Mesh1D, k: int, coeff: FluxCoefficient, source=None):
-        if not 1 <= k <= MAX_ORDER:
-            raise InvalidConfigError(f"order k must lie in [1, {MAX_ORDER}], got {k}")
+        check_order(k)
         self.mesh = mesh
         self.k = k
         self.source = source

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import InvalidConfigError
-from .quadrature import RuleKind, make_rule
+from .quadrature import RULE_KINDS, RuleKind, make_rule
 
 DOMAIN_LENGTH = 2.0 * np.pi
 
@@ -131,12 +131,17 @@ def classify_elements(mesh: Mesh1D, coeff: FluxCoefficient) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Partition:
-    """Per-element control-volume breakpoints and their quadrature metadata."""
+    """Per-element control-volume breakpoints and their quadrature metadata.
+
+    ``kinds`` holds each element's rule kind as an int8 code, its index in
+    ``RULE_KINDS``: 0 Gauss, 1 right Radau, 2 left Radau.  All arrays are
+    read-only.
+    """
 
     mesh: Mesh1D
     k: int
     scheme: Scheme
-    kinds: np.ndarray       # RuleKind value per element, as object array of enums
+    kinds: np.ndarray       # (N,) int8 rule code per element, RULE_KINDS[code] its kind
     ref_points: np.ndarray  # (N, k+2) abscissae of each element's rule on [-1, 1]
     subpoints: np.ndarray   # (N, k+2) domain coordinates, endpoints exact
     subweights: np.ndarray  # (N, k+2) scaled weights (h_i/2) * A_j
@@ -152,27 +157,20 @@ def build_partition(
     """Assign a rule kind to every element and map its points into the element."""
     if tie_break not in (RuleKind.RADAU_RIGHT, RuleKind.RADAU_LEFT):
         raise InvalidConfigError("tie_break must be one of the two Radau kinds")
-    make_rule(RuleKind.GAUSS, k)  # validates k range once
+    rules = [make_rule(kind, k) for kind in RULE_KINDS]
 
-    n = mesh.n_elements
-    omega = classify_elements(mesh, coeff)
-    kinds = np.empty(n, dtype=object)
     if scheme is Scheme.LSV:
-        kinds[:] = RuleKind.GAUSS
+        kinds = np.zeros(mesh.n_elements, dtype=np.int8)
     elif scheme is Scheme.RSV:
-        kinds[:] = tie_break
-        kinds[omega == 1] = RuleKind.RADAU_RIGHT
-        kinds[omega == 2] = RuleKind.RADAU_LEFT
+        # Classes 1, 2, 3 (both signs positive, both negative, mixed) map to
+        # right Radau, left Radau and the tie-break; class 0 does not occur.
+        codes = np.array([0, 1, 2, RULE_KINDS.index(tie_break)], dtype=np.int8)
+        kinds = codes[classify_elements(mesh, coeff)]
     else:
         raise InvalidConfigError(f"unknown scheme {scheme!r}")
 
-    ref_points = np.empty((n, k + 2))
-    ref_weights = np.empty((n, k + 2))
-    for kind in RuleKind:
-        rule = make_rule(kind, k)
-        mask = kinds == kind
-        ref_points[mask] = rule.points
-        ref_weights[mask] = rule.weights
+    ref_points = np.stack([rule.points for rule in rules])[kinds]
+    ref_weights = np.stack([rule.weights for rule in rules])[kinds]
 
     half = 0.5 * mesh.sizes[:, None]
     subpoints = mesh.centers[:, None] + half * ref_points

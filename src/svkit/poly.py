@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import DegenerateNodesError, OutOfDomainError
+from .exceptions import DegenerateNodesError, InvalidConfigError, OutOfDomainError
 from .mesh import DOMAIN_LENGTH, FluxCoefficient, Mesh1D, Partition
 from .quadrature import gauss_panel, legendre_basis, legendre_basis_deriv
 
@@ -183,14 +183,15 @@ def auto_interp_kinds(partition: Partition, coeff: FluxCoefficient) -> np.ndarra
     right-biased set matching its inflow from the positive side.  This makes
     the upwind trace of the interpolant exact at every interface while keeping
     all interior partition points interpolated wherever possible.
+
+    The choice is returned as an (N,) integer array: the index of the
+    partition point the element's node set leaves out, 0 for MINUS, k+1 for
+    PLUS and k for PLUS_MINUS.
     """
     left = coeff.interface_signs[:-1]
     right = coeff.interface_signs[1:]
-    kinds = np.empty(partition.mesh.n_elements, dtype=object)
-    kinds[:] = InterpKind.MINUS
-    kinds[(left <= 0) & (right <= 0)] = InterpKind.PLUS
-    kinds[(left <= 0) & (right > 0)] = InterpKind.PLUS_MINUS
-    return kinds
+    k = partition.k
+    return np.where(left > 0, 0, np.where(right > 0, k, k + 1))
 
 
 class InterpNodes(NamedTuple):
@@ -207,19 +208,19 @@ def interpolation_nodes(
 
     Every node set is the element's k+2 partition points less one: MINUS drops
     the left endpoint, PLUS the right one and PLUS_MINUS the last interior point.
+    A ``kind`` that is not an :class:`InterpKind` raises InvalidConfigError.
     """
     n = partition.mesh.n_elements
     k = partition.k
+    if not isinstance(kind, InterpKind):
+        raise InvalidConfigError(f"unknown interpolant kind {kind!r}")
     if kind is InterpKind.AUTO:
         if coeff is None:
             raise ValueError("automatic interpolation needs the flux coefficient")
-        ikinds = auto_interp_kinds(partition, coeff)
+        dropped = auto_interp_kinds(partition, coeff)
     else:
-        ikinds = np.full(n, kind, dtype=object)
-
-    dropped = np.full(n, k)
-    dropped[ikinds == InterpKind.MINUS] = 0
-    dropped[ikinds == InterpKind.PLUS] = k + 1
+        fixed = {InterpKind.MINUS: 0, InterpKind.PLUS: k + 1, InterpKind.PLUS_MINUS: k}
+        dropped = np.full(n, fixed[kind])
     keep = np.arange(k + 2) != dropped[:, None]
     s_nodes = partition.ref_points[keep].reshape(n, k + 1)
     gaps = np.diff(s_nodes, axis=1).min(axis=1)
@@ -250,16 +251,8 @@ def interpolate(
 # -- control-volume transform ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant:
-    """One value per control volume; the image of a broken polynomial."""
-
-    partition: Partition
-    values: np.ndarray  # (N, k+1)
-
-
-def t_transform(w: PiecewisePoly, partition: Partition) -> PiecewiseConstant:
-    """Map w to its control-volume constants via the weighted-derivative recurrence.
+def t_transform(w: PiecewisePoly, partition: Partition) -> np.ndarray:
+    """Map w to its (N, k+1) control-volume constants via the weighted-derivative recurrence.
 
     Starting from the element's own left-endpoint value, each constant adds the
     scaled rule weight times w_x at the next partition point.  For node sets
@@ -272,7 +265,7 @@ def t_transform(w: PiecewisePoly, partition: Partition) -> PiecewiseConstant:
     increments = partition.subweights * w.eval_ref_deriv(partition.ref_points)
     values = np.cumsum(increments[:, : k + 1], axis=1)
     values += w.left_traces()[:, None]
-    return PiecewiseConstant(partition=partition, values=values)
+    return values
 
 
 def element_antiderivative(u: PiecewisePoly) -> PiecewisePoly:
@@ -299,8 +292,7 @@ def cv_integrals(u: PiecewisePoly, partition: Partition) -> np.ndarray:
 
 def transform_inner_products(u: PiecewisePoly, partition: Partition) -> np.ndarray:
     """Per-element inner products of u against its own transform image."""
-    tu = t_transform(u, partition)
-    return np.sum(cv_integrals(u, partition) * tu.values, axis=1)
+    return np.sum(cv_integrals(u, partition) * t_transform(u, partition), axis=1)
 
 
 def triple_norm(u: PiecewisePoly, partition: Partition) -> float:

@@ -14,6 +14,7 @@ where ``L_m`` is the Legendre polynomial normalized by ``L_m(1) = 1``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -33,6 +34,10 @@ class RuleKind(Enum):
     GAUSS = "gauss"
     RADAU_RIGHT = "radau_right"
     RADAU_LEFT = "radau_left"
+
+
+# A partition stores each element's rule kind as its index in this tuple.
+RULE_KINDS = tuple(RuleKind)
 
 
 def legendre_basis(k: int, s) -> np.ndarray:
@@ -151,16 +156,24 @@ def _cardinal_weights(nodes: np.ndarray, panel: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=None)
-def make_rule(kind: RuleKind, k: int) -> QuadratureRule:
-    """Build the quadrature rule of the given kind and order k in [1, 12]."""
-    if not isinstance(k, int) or isinstance(k, bool):
+def check_order(k) -> None:
+    """Raise InvalidConfigError unless k is an integer in [1, 12]."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
         raise InvalidConfigError(f"order k must be an integer, got {k!r}")
     if not 1 <= k <= MAX_ORDER:
         raise InvalidConfigError(f"order k must lie in [1, {MAX_ORDER}], got {k}")
+
+
+def make_rule(kind: RuleKind, k: int) -> QuadratureRule:
+    """Build the quadrature rule of the given kind and order k in [1, 12]."""
+    check_order(k)
     if not isinstance(kind, RuleKind):
         raise InvalidConfigError(f"unknown rule kind {kind!r}")
+    return _build_rule(kind, int(k))
 
+
+@lru_cache(maxsize=None)
+def _build_rule(kind: RuleKind, k: int) -> QuadratureRule:
     interior = _newton_interior(kind, k)
     points = np.concatenate(([-1.0], interior, [1.0]))
 

@@ -27,6 +27,7 @@ from .mesh import FluxCoefficient, Partition, Scheme
 from .poly import PiecewisePoly
 from .quadrature import (
     MAX_ORDER,
+    RULE_KINDS,
     QuadratureRule,
     RuleKind,
     gauss_panel,
@@ -90,15 +91,6 @@ def _cv_matrix(kind: RuleKind, k: int) -> ControlVolumeMatrix:
     matrix.setflags(write=False)
     inverse.setflags(write=False)
     return ControlVolumeMatrix(matrix=matrix, inverse=inverse)
-
-
-def upwind_fluxes(u: PiecewisePoly, coeff: FluxCoefficient) -> np.ndarray:
-    """Flux alpha * upwind-trace at all N+1 interfaces (last equals first)."""
-    um = u.right_traces()
-    up = u.left_traces()
-    a = coeff.interface_values[:-1]
-    flux = np.where(a > 0.0, a * np.roll(um, 1), a * up)
-    return np.concatenate([flux, flux[:1]])
 
 
 # -- block stencils: du/dt = A u + s(t), with A coupling each element to its two neighbours
@@ -215,23 +207,17 @@ class SVOperator:
 
         # Each element's stencil is its rule's patterns times its weights,
         # times 2/h; the reference CV inverse, times 2/h, maps the source.
-        # Per rule kind in use, one product with the weights zeroed outside
-        # the kind's elements: no gather or scatter, and the sum over kinds
+        # Per rule code in use, one product with the weights zeroed outside
+        # the code's elements: no gather or scatter, and the sum over codes
         # adds exact zeros.  LSV uses Gauss alone, RSV at most the two Radau
         # kinds.
         a_int = np.asarray(coeff.alpha(partition.subpoints[:, 1 : k + 1]), dtype=float)
         weights = np.column_stack([upwind_weights(coeff), a_int]) * (2.0 / mesh.sizes)[:, None]
-        kinds, masks = [], []
-        for kind in RuleKind:
-            mask = partition.kinds == kind
-            if mask.any():
-                kinds.append(kind)
-                masks.append(mask)
-            if mask.all():  # one kind covers the mesh: no further comparisons
-                break
-        stencil = _sv_patterns(kinds[0], k) @ (weights.T * masks[0])
-        for kind, mask in zip(kinds[1:], masks[1:]):
-            stencil += _sv_patterns(kind, k) @ (weights.T * mask)
+        codes = partition.kinds
+        first, *others = np.unique(codes)
+        stencil = _sv_patterns(RULE_KINDS[first], k) @ (weights.T * (codes == first))
+        for code in others:
+            stencil += _sv_patterns(RULE_KINDS[code], k) @ (weights.T * (codes == code))
         stencil = stencil.reshape(k + 1, 3 * (k + 1), n)
         stencil.setflags(write=False)
         self._stencil = stencil
@@ -246,8 +232,8 @@ class SVOperator:
             self._src_x = mid + half * sg[:, None]            # (k+1, q, N)
             self._src_x.setflags(write=False)  # lets a source memoise per-node factors
             self._src_w = half * wg[:, None]                  # (k+1, q, N)
-            inverses = np.stack([_cv_matrix(kind, k).inverse for kind in kinds], axis=-1)
-            self._cv_inv = inverses @ (np.array(masks) * (2.0 / mesh.sizes))  # (k+1, k+1, N)
+            inverses = np.stack([_cv_matrix(kind, k).inverse for kind in RULE_KINDS], axis=-1)
+            self._cv_inv = inverses[:, :, codes] * (2.0 / mesh.sizes)  # (k+1, k+1, N)
             self._src_memo: tuple[float, np.ndarray] | None = None
 
     def _source_coeffs(self, t: float) -> np.ndarray:

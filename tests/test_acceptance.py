@@ -26,7 +26,7 @@ from svkit.poly import (
     triple_norm,
 )
 from svkit.quadrature import RuleKind, integrate_panel, make_rule
-from svkit.sv import SchemeConfig, SVOperator, upwind_fluxes
+from svkit.sv import SchemeConfig, SVOperator
 from svkit.timestep import integrate_to
 
 
@@ -319,14 +319,14 @@ def test_c10_transform_identities():
                 scale = max(1.0, float(np.max(np.abs(w.coeffs))))
                 # endpoint identities per rule kind
                 if kind in (RuleKind.GAUSS, RuleKind.RADAU_RIGHT):
-                    ok &= np.max(np.abs(tw.values[:, 0] - w.left_traces())) < 1e-11 * scale
+                    ok &= np.max(np.abs(tw[:, 0] - w.left_traces())) < 1e-11 * scale
                 if kind in (RuleKind.GAUSS, RuleKind.RADAU_LEFT):
-                    ok &= np.max(np.abs(tw.values[:, -1] - w.right_traces())) < 1e-11 * scale
+                    ok &= np.max(np.abs(tw[:, -1] - w.right_traces())) < 1e-11 * scale
                 wx_r = w.eval_ref_deriv(np.array([1.0]))[:, 0]
                 last = w.right_traces() - 0.5 * mesh.sizes * rule.weights[-1] * wx_r
-                ok &= np.max(np.abs(tw.values[:, -1] - last)) < 1e-11 * scale
+                ok &= np.max(np.abs(tw[:, -1] - last)) < 1e-11 * scale
                 # inner-product decomposition
-                lhs = np.sum(cv_integrals(v, part) * tw.values, axis=1)
+                lhs = np.sum(cv_integrals(v, part) * tw, axis=1)
                 inner = (v.coeffs * w.coeffs / modes).sum(axis=1) * mesh.sizes
                 anti = element_antiderivative(v)
                 exact = 0.5 * mesh.sizes * ((anti.eval_ref(sg) * w.eval_ref_deriv(sg)) @ wg)

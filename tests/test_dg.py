@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svkit.cases import manufactured_case
+from svkit.exceptions import InvalidConfigError
 from svkit.dg import VOLUME_QUAD_EXTRA, DGOperator
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate
 from svkit.quadrature import legendre_basis_deriv
-from svkit.sv import SchemeConfig, SVOperator, upwind_fluxes
+from svkit.sv import SchemeConfig, SVOperator
 from svkit.timestep import integrate_to
+
+from flux_reference import upwind_fluxes
 
 
 def _random_poly(mesh, k, seed):
@@ -151,3 +154,19 @@ def test_source_node_memo_matches_fresh_evaluation(k):
     got = integrate_to(u0, 0.0, 0.05, 0.01 / 8, op).coeffs
     ref = integrate_to(u0, 0.0, 0.05, 0.01 / 8, fresh).coeffs
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_non_integer_order_rejected(warm):
+    mesh = build_mesh(6)
+    coeff = FluxCoefficient(np.sin, mesh)
+    if warm:
+        DGOperator(mesh, 2, coeff)
+        DGOperator(mesh, 3, coeff)
+    with pytest.raises(InvalidConfigError):
+        DGOperator(mesh, 2.5, coeff)
+    with pytest.raises(InvalidConfigError):
+        DGOperator(mesh, 3.0, coeff)
+    u = PiecewisePoly(mesh, 2, np.random.default_rng(4).standard_normal((6, 3)))
+    got = DGOperator(mesh, np.int64(2), coeff)(u, 0.0)
+    assert np.array_equal(got.coeffs, DGOperator(mesh, 2, coeff)(u, 0.0).coeffs)

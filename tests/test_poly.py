@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svkit.exceptions import OutOfDomainError
+from svkit.exceptions import InvalidConfigError, OutOfDomainError
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.poly import (
     InterpKind,
@@ -105,10 +105,24 @@ def test_auto_kind_table_for_sine():
     mesh = build_mesh(8)
     coeff = FluxCoefficient(np.sin, mesh)
     part = build_partition(mesh, 2, Scheme.RSV, coeff)
+    # Each choice is the index of the partition point its node set leaves out.
+    dropped = {InterpKind.MINUS: 0, InterpKind.PLUS: 3, InterpKind.PLUS_MINUS: 2}
     kinds = auto_interp_kinds(part, coeff)
-    assert kinds[1] is InterpKind.MINUS      # [pi/4, pi/2]: both signs positive
-    assert kinds[5] is InterpKind.PLUS       # [5pi/4, 3pi/2]: both negative
-    assert kinds[0] is InterpKind.PLUS_MINUS # [0, pi/4]: zero at the left edge
+    assert kinds[1] == dropped[InterpKind.MINUS]       # [pi/4, pi/2]: both signs positive
+    assert kinds[5] == dropped[InterpKind.PLUS]        # [5pi/4, 3pi/2]: both negative
+    assert kinds[0] == dropped[InterpKind.PLUS_MINUS]  # [0, pi/4]: zero at the left edge
+
+
+@pytest.mark.parametrize("kind", ["minus", "plus_minus", RuleKind.GAUSS, None])
+def test_interpolant_kind_must_be_an_interp_kind(kind):
+    # Anything but an InterpKind is rejected, not read as a default node set.
+    mesh = build_mesh(6)
+    coeff = FluxCoefficient(np.sin, mesh)
+    part = build_partition(mesh, 2, Scheme.RSV, coeff)
+    with pytest.raises(InvalidConfigError):
+        interpolate(np.cos, part, coeff, kind)
+    with pytest.raises(InvalidConfigError):
+        interpolation_nodes(part, coeff, kind)
 
 
 def test_interpolation_matches_at_nodes():
@@ -163,7 +177,7 @@ def test_transform_constant():
     part = build_partition(mesh, 2, Scheme.LSV, coeff)
     u = _poly(mesh, 2, np.column_stack([np.full(5, 3.5), np.zeros(5), np.zeros(5)]))
     tw = t_transform(u, part)
-    assert np.max(np.abs(tw.values - 3.5)) < 1e-13
+    assert np.max(np.abs(tw - 3.5)) < 1e-13
 
 
 def _partition_of_kind(mesh, k, kind):
@@ -184,14 +198,14 @@ def test_transform_endpoint_identities(kind, k):
     tw = t_transform(w, part)
     scale = max(1.0, float(np.max(np.abs(w.coeffs))))
     if kind in (RuleKind.GAUSS, RuleKind.RADAU_RIGHT):
-        assert np.max(np.abs(tw.values[:, 0] - w.left_traces())) < 1e-12 * scale
+        assert np.max(np.abs(tw[:, 0] - w.left_traces())) < 1e-12 * scale
     if kind in (RuleKind.GAUSS, RuleKind.RADAU_LEFT):
-        assert np.max(np.abs(tw.values[:, -1] - w.right_traces())) < 1e-12 * scale
+        assert np.max(np.abs(tw[:, -1] - w.right_traces())) < 1e-12 * scale
     # general last-volume identity: w*_k = w(right) - A_{k+1} w_x(right)
     rule = make_rule(kind, k)
     wx_right = w.eval_ref_deriv(np.array([1.0]))[:, 0]
     expected = w.right_traces() - 0.5 * mesh.sizes * rule.weights[-1] * wx_right
-    assert np.max(np.abs(tw.values[:, -1] - expected)) < 1e-11 * scale
+    assert np.max(np.abs(tw[:, -1] - expected)) < 1e-11 * scale
 
 
 @pytest.mark.parametrize("kind", list(RuleKind))
@@ -207,7 +221,7 @@ def test_transform_inner_product_decomposition(kind, k):
     for _ in range(25):
         v = PiecewisePoly(mesh, k, rng.standard_normal((6, k + 1)))
         w = PiecewisePoly(mesh, k, rng.standard_normal((6, k + 1)))
-        lhs = np.sum(cv_integrals(v, part) * t_transform(w, part).values, axis=1)
+        lhs = np.sum(cv_integrals(v, part) * t_transform(w, part), axis=1)
         modes = 2 * np.arange(k + 1) + 1
         inner = (v.coeffs * w.coeffs / modes).sum(axis=1) * mesh.sizes
         anti = element_antiderivative(v)
@@ -231,7 +245,7 @@ def test_transform_injective_and_bounded(kind, k):
     for m in range(k + 1):
         coeffs = np.zeros((4, k + 1))
         coeffs[:, m] = 1.0
-        images.append(t_transform(PiecewisePoly(mesh, k, coeffs), part).values[0])
+        images.append(t_transform(PiecewisePoly(mesh, k, coeffs), part)[0])
     rank = np.linalg.matrix_rank(np.array(images), tol=1e-10)
     assert rank == k + 1
     # boundedness: piecewise-constant L2 norm of Tw within 10x of ||w||
@@ -240,7 +254,7 @@ def test_transform_injective_and_bounded(kind, k):
     for _ in range(50):
         w = PiecewisePoly(mesh, k, rng.standard_normal((4, k + 1)))
         tw = t_transform(w, part)
-        norm_tw = np.sqrt(np.sum(widths * tw.values**2))
+        norm_tw = np.sqrt(np.sum(widths * tw**2))
         assert norm_tw <= 10.0 * broken_norm(w) + 1e-14
 
 

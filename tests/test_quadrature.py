@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from svkit.exceptions import InvalidConfigError
-from svkit.quadrature import RuleKind, integrate_panel, legendre_basis_deriv, make_rule
+from svkit.quadrature import (
+    RuleKind,
+    _build_rule,
+    integrate_panel,
+    legendre_basis_deriv,
+    make_rule,
+)
 
 ALL_KINDS = list(RuleKind)
 
@@ -172,3 +178,20 @@ def test_order_range_rejected():
         make_rule(RuleKind.GAUSS, 13)
     with pytest.raises(InvalidConfigError):
         integrate_panel(lambda s: s, 1.0, 0.0, 3)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_order_type_checked_whatever_is_cached(warm):
+    # A float order equals the cached integer key, so it must be rejected
+    # before the cache is consulted; a NumPy integer is accepted either way.
+    _build_rule.cache_clear()
+    if warm:
+        for k in (1, 2, 3):
+            make_rule(RuleKind.GAUSS, k)
+    with pytest.raises(InvalidConfigError):
+        make_rule(RuleKind.GAUSS, 2.0)
+    with pytest.raises(InvalidConfigError):
+        make_rule(RuleKind.GAUSS, True)
+    rule = make_rule(RuleKind.GAUSS, np.int64(3))
+    assert type(rule.k) is int and rule.k == 3
+    assert rule is make_rule(RuleKind.GAUSS, 3)

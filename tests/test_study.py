@@ -5,6 +5,7 @@ from svkit.cases import manufactured_case
 from svkit.cli import main
 from svkit.exceptions import InvalidConfigError
 from svkit.metrics import ErrorReport
+from svkit.quadrature import _build_rule
 from svkit.study import StudyConfig, emit_table, render_table, run_single, run_study
 
 FAST = dict(n_values=(8, 16), t_final=0.1)
@@ -265,3 +266,16 @@ def test_cli_reports_io_error(tmp_path):
          "--t-final", "0.1", "--out", str(tmp_path / "missing" / "t.csv")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_run_single_accepts_numpy_order(warm):
+    # The order is validated the same way whether or not its rules are cached.
+    _build_rule.cache_clear()
+    case = manufactured_case(1)
+    if warm:
+        run_single(case, "rsv", 1, 8, t_final=0.05)
+    got = run_single(case, "rsv", np.int64(1), 8, t_final=0.05)
+    assert got == run_single(case, "rsv", 1, 8, t_final=0.05)
+    with pytest.raises(InvalidConfigError):
+        run_single(case, "rsv", 1.0, 8, t_final=0.05)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svkit.cases import manufactured_case
-from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
+from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition, classify_elements
 from svkit.poly import (
     InterpKind,
     PiecewisePoly,
@@ -13,7 +13,7 @@ from svkit.poly import (
     interpolation_nodes,
     triple_norm,
 )
-from svkit.quadrature import RuleKind, gauss_panel, integrate_panel, make_rule
+from svkit.quadrature import RULE_KINDS, RuleKind, gauss_panel, integrate_panel, make_rule
 from svkit.sv import (
     SOURCE_QUAD_EXTRA,
     SchemeConfig,
@@ -21,12 +21,13 @@ from svkit.sv import (
     _sv_patterns,
     apply_stencil,
     cv_matrix,
-    upwind_fluxes,
     upwind_weights,
 )
 from svkit.dg import DGOperator
 from svkit.timestep import integrate_to
 from svkit.exceptions import InvalidConfigError
+
+from flux_reference import upwind_fluxes
 
 
 def _random_poly(mesh, k, seed):
@@ -151,7 +152,7 @@ def test_local_conservation_identity(scheme, k):
     flux = upwind_fluxes(u, coeff)
     scale = max(1.0, float(np.max(np.abs(u.coeffs))))
     for i in range(mesh.n_elements):
-        rule = make_rule(part.kinds[i], k)
+        rule = make_rule(RULE_KINDS[part.kinds[i]], k)
         faces = np.empty(k + 2)
         faces[0] = flux[i]
         faces[-1] = flux[i + 1]
@@ -215,7 +216,7 @@ def test_source_quadrature_doubling():
             integrate_panel(lambda x: case.source(x, t), a, b, 8)
             for a, b in zip(part.subpoints[i, :-1], part.subpoints[i, 1:])
         ]
-        inverse = cv_matrix(make_rule(part.kinds[i], 2)).inverse
+        inverse = cv_matrix(make_rule(RULE_KINDS[part.kinds[i]], 2)).inverse
         fine[i] = (inverse @ cv) * 2.0 / mesh.sizes[i]
     scale = max(1.0, float(np.max(np.abs(base.coeffs))))
     assert np.max(np.abs(source_term - fine)) < 1e-11 * scale
@@ -289,7 +290,7 @@ def _reference_rhs(part, coeff, u):
     flux = upwind_fluxes(u, coeff)
     out = np.empty_like(u.coeffs)
     for i in range(part.mesh.n_elements):
-        rule = make_rule(part.kinds[i], k)
+        rule = make_rule(RULE_KINDS[part.kinds[i]], k)
         faces = np.empty(k + 2)
         faces[0] = flux[i]
         faces[-1] = flux[i + 1]
@@ -338,6 +339,69 @@ def test_stacked_operator_matches_element_loop(
     back = interpolate(lambda x: u.eval_ref(nodes.s), part, coeff, interp_kind)
     scale = max(1.0, float(np.max(np.abs(u.coeffs))))
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12 * scale
+
+
+@st.composite
+def breakpoint_zero_coefficients(draw):
+    """A jittered mesh and a trigonometric alpha that vanishes exactly on some breakpoints.
+
+    alpha = amp * prod_j sin((x - z_j) / 2) over an even number of breakpoints
+    z_j, so it is 2*pi-periodic and x - z_j is exactly zero at x = z_j.  A
+    breakpoint drawn twice is a double zero, where alpha touches 0 without
+    changing sign.
+    """
+    n = draw(st.integers(4, 24))
+    mesh = build_mesh(n, draw(st.floats(0.0, 0.35)), seed=draw(st.integers(0, 2**16)))
+    pairs = draw(st.integers(1, 2))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=2 * pairs, max_size=2 * pairs))
+    zeros = mesh.breakpoints[idx]
+    amp = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
+
+    def alpha(x):
+        x = np.asarray(x, dtype=float)
+        return amp * np.prod([np.sin(0.5 * (x - z)) for z in zeros], axis=0)
+
+    coeff = FluxCoefficient(alpha, mesh)
+    assert np.all(coeff.interface_values[idx] == 0.0)
+    return mesh, coeff
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mesh_coeff=breakpoint_zero_coefficients(),
+    k=st.integers(1, 8),
+    scheme=st.sampled_from([Scheme.RSV, Scheme.LSV]),
+    seed=st.integers(0, 2**16),
+)
+def test_zeros_on_breakpoints(mesh_coeff, k, scheme, seed):
+    mesh, coeff = mesh_coeff
+    n = mesh.n_elements
+    omega = classify_elements(mesh, coeff)
+    f = lambda x: np.exp(np.sin(x))
+    exact = f(mesh.breakpoints[:-1])
+    a = coeff.interface_values[:-1]
+    rng = np.random.default_rng(seed)
+    u, v = (PiecewisePoly(mesh, k, rng.standard_normal((n, k + 1))) for _ in range(2))
+    for tie_break in (RuleKind.RADAU_RIGHT, RuleKind.RADAU_LEFT):
+        part = build_partition(mesh, k, scheme, coeff, tie_break)
+
+        # Class -> rule code: 1 right Radau, 2 left Radau, 3 (a zero or a
+        # sign change at an endpoint) the tie-break; LSV is Gauss throughout.
+        table = {1: RuleKind.RADAU_RIGHT, 2: RuleKind.RADAU_LEFT, 3: tie_break}
+        for i in range(n):
+            expected = table[omega[i]] if scheme is Scheme.RSV else RuleKind.GAUSS
+            assert RULE_KINDS[part.kinds[i]] is expected
+
+        # The automatic interpolant is exact at every upwind trace.
+        interp = interpolate(f, part, coeff, InterpKind.AUTO)
+        uhat = np.where(a > 0.0, np.roll(interp.right_traces(), 1), interp.left_traces())
+        assert np.max(np.abs(uhat - exact)) < 1e-12 * np.max(np.abs(exact))
+
+        # The operator is linear in the state.
+        op = SVOperator(SchemeConfig(k, scheme), part, coeff)
+        lhs = op(2.5 * u - 0.75 * v, 0.0).coeffs
+        rhs = 2.5 * op(u, 0.0).coeffs - 0.75 * op(v, 0.0).coeffs
+        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
 
 
 @pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
@@ -422,9 +486,9 @@ def test_stencil_matches_masked_build(scheme, alpha, n, k):
     weights = np.column_stack([upwind_weights(coeff), a_int]) * (2.0 / mesh.sizes)[:, None]
     masked = np.empty((k + 1, 3 * (k + 1), n))
     scale = np.empty_like(masked)
-    for kind in set(part.kinds):
-        mask = part.kinds == kind
-        patterns = _sv_patterns(kind, k)
+    for code in set(part.kinds):
+        mask = part.kinds == code
+        patterns = _sv_patterns(RULE_KINDS[code], k)
         masked.reshape(-1, n)[:, mask] = patterns @ weights[mask].T
         scale.reshape(-1, n)[:, mask] = np.abs(patterns) @ np.abs(weights[mask]).T
     if len(set(part.kinds)) == 1:
@@ -450,7 +514,7 @@ def test_source_map_matches_element_stacked_reference(example, scheme, k):
     mid = 0.5 * (sp[:, 1:] + sp[:, :-1])[..., None]
     half = 0.5 * (sp[:, 1:] - sp[:, :-1])[..., None]
     cv = np.einsum("njq,njq->nj", case.source(mid + half * sg, t), half * wg)
-    cv_inv = np.array([cv_matrix(make_rule(kind, k)).inverse for kind in part.kinds])
+    cv_inv = np.array([cv_matrix(make_rule(RULE_KINDS[code], k)).inverse for code in part.kinds])
     cv_inv *= (2.0 / mesh.sizes)[:, None, None]
     ref = np.matmul(cv_inv, cv[..., None])[..., 0]
 
