@@ -214,7 +214,7 @@ class SVOperator:
         a_int = np.asarray(coeff.alpha(partition.subpoints[:, 1 : k + 1]), dtype=float)
         weights = np.column_stack([upwind_weights(coeff), a_int]) * (2.0 / mesh.sizes)[:, None]
         codes = partition.kinds
-        first, *others = np.unique(codes)
+        first, *others = np.flatnonzero(np.bincount(codes))  # the codes in use
         stencil = _sv_patterns(RULE_KINDS[first], k) @ (weights.T * (codes == first))
         for code in others:
             stencil += _sv_patterns(RULE_KINDS[code], k) @ (weights.T * (codes == code))
