@@ -133,9 +133,7 @@ def classify_elements(mesh: Mesh1D, coeff: FluxCoefficient) -> np.ndarray:
 class Partition:
     """Per-element control-volume breakpoints and their quadrature metadata.
 
-    ``kinds`` holds each element's rule kind as an int8 code, its index in
-    ``RULE_KINDS``: 0 Gauss, 1 right Radau, 2 left Radau.  All arrays are
-    read-only.
+    Each element's rule kind is stored as an int8 code, its index in ``RULE_KINDS``.
     """
 
     mesh: Mesh1D

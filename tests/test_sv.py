@@ -520,5 +520,6 @@ def test_source_map_matches_element_stacked_reference(example, scheme, k):
 
     got = op._source_coeffs(t)
     scale = np.matmul(np.abs(cv_inv), np.abs(cv)[..., None])[..., 0]
+    assert op._cv_inv.flags.c_contiguous
     assert got.shape == (13, k + 1) and got.flags.c_contiguous
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
