@@ -233,9 +233,9 @@ class SVOperator:
             self._src_x.setflags(write=False)  # lets a source memoise per-node factors
             self._src_w = half * wg[:, None]                  # (k+1, q, N)
             inverses = np.stack([_cv_matrix(kind, k).inverse for kind in RULE_KINDS], axis=-1)
-            # take keeps the elements innermost; indexing the last axis would
-            # lay the result out element-first and slow every source map.
-            self._cv_inv = inverses.take(codes, axis=2) * (2.0 / mesh.sizes)  # (k+1, k+1, N)
+            # take, unlike [:, :, codes], keeps the elements innermost for the source map.
+            self._cv_inv = inverses.take(codes, axis=2)  # (k+1, k+1, N)
+            self._cv_inv *= 2.0 / mesh.sizes
             self._src_memo: tuple[float, np.ndarray] | None = None
 
     def _source_coeffs(self, t: float) -> np.ndarray:
