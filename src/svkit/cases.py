@@ -51,31 +51,60 @@ def _traveling_exp(x, t):
 
 
 class _NodeTrig:
-    """(sin x, cos x) of the last read-only node array seen, keyed by identity.
+    """Per-node factors of the last read-only node array seen, keyed by identity.
 
     The operators evaluate a source on the same frozen node array at every
     stage, so a source written through sin(x - t) = sx cos t - cx sin t and
-    cos(x - t) = cx cos t + sx sin t costs one exp per call.  Only arrays that
-    own their data and are read-only are kept: a writable array, or a view
-    whose base could change under it, is evaluated afresh every call.
+    cos(x - t) = cx cos t + sx sin t costs one exp per call.  A call returns
+    (sx, cx) followed by ``factors(sx, cx)``, the case's constant per-node
+    factors.  Only arrays that own their data and are read-only are kept, and
+    the kept factors are read-only: a writable array, or a view whose base
+    could change under it, is evaluated afresh every call.
     """
 
-    def __init__(self):
+    def __init__(self, factors):
+        self._factors = factors
         self._x = None
-        self._sin_cos = None
+        self._values = None
 
     def __call__(self, x):
         if x is self._x and not x.flags.writeable:
-            return self._sin_cos
-        sin_cos = (np.sin(x), np.cos(x))
+            return self._values
+        sx, cx = np.sin(x), np.cos(x)
+        values = (sx, cx, *self._factors(sx, cx))
         if isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable:
-            self._x, self._sin_cos = x, sin_cos
-        return sin_cos
+            for value in values:
+                value.setflags(write=False)
+            self._x, self._values = x, values
+        return values
+
+
+def _wave_source(sx, cx, t, first, scale):
+    """first + scale * cos(x - t), times exp(sin(x - t)), in three full-size buffers.
+
+    The operations and their order are those of
+    ``np.exp(sx * ct - cx * st) * (first + scale * (cx * ct + sx * st))``,
+    so the result is bit for bit that expression's.
+    """
+    ct, st = np.cos(t), np.sin(t)
+    shape = np.broadcast_shapes(np.shape(sx), np.shape(ct))
+    out, wave, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(sx, ct, out=out)
+    np.multiply(cx, st, out=tmp)
+    np.subtract(out, tmp, out=out)
+    np.exp(out, out=out)
+    np.multiply(cx, ct, out=wave)
+    np.multiply(sx, st, out=tmp)
+    np.add(wave, tmp, out=wave)
+    np.multiply(scale, wave, out=wave)
+    np.add(first, wave, out=wave)
+    np.multiply(out, wave, out=out)
+    return out
 
 
 def _example1() -> CaseSpec:
     # alpha = sin x vanishes with simple zeros at 0, pi, 2*pi.
-    node_trig = _NodeTrig()
+    node_trig = _NodeTrig(lambda sx, cx: (sx - 1.0,))
 
     def u_t(x, t):
         return -np.cos(x - t) * _traveling_exp(x, t)
@@ -85,9 +114,8 @@ def _example1() -> CaseSpec:
 
     def source(x, t):
         # exp(sin(x - t)) * (cos x + (sin x - 1) cos(x - t))
-        sx, cx = node_trig(x)
-        ct, st = np.cos(t), np.sin(t)
-        return np.exp(sx * ct - cx * st) * (cx + (sx - 1.0) * (cx * ct + sx * st))
+        sx, cx, sx_m1 = node_trig(x)
+        return _wave_source(sx, cx, t, cx, sx_m1)
 
     return CaseSpec(
         case_id="example1",
@@ -103,7 +131,7 @@ def _example1() -> CaseSpec:
 
 def _example2() -> CaseSpec:
     # alpha = sin^2 x vanishes to second order at 0, pi, 2*pi.
-    node_trig = _NodeTrig()
+    node_trig = _NodeTrig(lambda sx, cx: (2.0 * sx * cx, sx * sx - 1.0))
 
     def alpha(x):
         return np.sin(x) ** 2
@@ -119,11 +147,8 @@ def _example2() -> CaseSpec:
 
     def source(x, t):
         # exp(sin(x - t)) * (sin 2x + (sin^2 x - 1) cos(x - t))
-        sx, cx = node_trig(x)
-        ct, st = np.cos(t), np.sin(t)
-        return np.exp(sx * ct - cx * st) * (
-            2.0 * sx * cx + (sx * sx - 1.0) * (cx * ct + sx * st)
-        )
+        sx, cx, sin_2x, sx2_m1 = node_trig(x)
+        return _wave_source(sx, cx, t, sin_2x, sx2_m1)
 
     return CaseSpec(
         case_id="example2",

@@ -11,6 +11,7 @@ over nodes unscaled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -20,11 +21,12 @@ from .mesh import FluxCoefficient, Mesh1D, Partition
 from .poly import (
     InterpKind,
     PiecewisePoly,
+    auto_interp_kinds,
     broken_norm,
     interpolate,
     interpolation_nodes,
 )
-from .quadrature import gauss_panel
+from .quadrature import RULE_KINDS, gauss_panel, make_rule
 
 _BISECT_STEPS = 60
 
@@ -70,6 +72,36 @@ def node_polynomial_extrema(nodes) -> np.ndarray:
     if np.any(np.diff(nodes) <= 0):
         raise ValueError("nodes must be strictly increasing")
     return _extrema_batch(nodes[None, :])[0]
+
+
+@lru_cache(maxsize=None)
+def _reference_extrema(code: int, dropped: int, k: int) -> np.ndarray:
+    """(k,) extrema on [-1, 1] of one reference node set, read-only.
+
+    The node set is the order-k rule ``RULE_KINDS[code]`` less its point at
+    index ``dropped``, as :func:`interpolation_nodes` selects it.
+    """
+    z = _extrema_batch(np.delete(make_rule(RULE_KINDS[code], k).points, dropped)[None, :])[0]
+    z.setflags(write=False)
+    return z
+
+
+def _auto_node_extrema(partition: Partition, coeff: FluxCoefficient):
+    """(N, k) domain and reference coordinates of the extrema of each AUTO node set.
+
+    Every element's node set is the affine image of one reference set, fixed
+    by its rule code and its dropped point, so only the few sets in use are
+    bisected and each element maps its set's extrema.
+    """
+    mesh = partition.mesh
+    k = partition.k
+    codes = partition.kinds * (k + 2) + auto_interp_kinds(partition, coeff)
+    table = np.zeros((len(RULE_KINDS) * (k + 2), k))
+    for code in np.flatnonzero(np.bincount(codes)):
+        table[code] = _reference_extrema(*divmod(int(code), k + 2), k)
+    s_z = table[codes]
+    z = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * s_z
+    return z, s_z
 
 
 @dataclass
@@ -166,8 +198,7 @@ def _functional_parts(u_h, u, u_x, coeff, partition) -> dict[str, float]:
     out["flux_node_rms"] = float(np.sqrt(np.sum((a_nodes * node_mismatch) ** 2) / n))
     out["node_rms"] = float(np.sqrt(np.sum(node_mismatch ** 2) / n))
 
-    z = _extrema_batch(nodes.x)
-    s_z = (2.0 * z - (mesh.breakpoints[:-1] + mesh.breakpoints[1:])[:, None]) / mesh.sizes[:, None]
+    z, s_z = _auto_node_extrema(partition, coeff)
     dz = np.asarray(u_x(z), dtype=float) - u_h.eval_ref_deriv(s_z)
     vz = np.asarray(u(z), dtype=float) - u_h.eval_ref(s_z)
     a_z = np.asarray(coeff.alpha(z), dtype=float)

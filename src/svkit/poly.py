@@ -208,7 +208,8 @@ def interpolation_nodes(
 
     Every node set is the element's k+2 partition points less one: MINUS drops
     the left endpoint, PLUS the right one and PLUS_MINUS the last interior point.
-    A ``kind`` that is not an :class:`InterpKind` raises InvalidConfigError.
+    A ``kind`` that is not an :class:`InterpKind`, or AUTO without ``coeff``,
+    raises InvalidConfigError.
     """
     n = partition.mesh.n_elements
     k = partition.k
@@ -216,7 +217,7 @@ def interpolation_nodes(
         raise InvalidConfigError(f"unknown interpolant kind {kind!r}")
     if kind is InterpKind.AUTO:
         if coeff is None:
-            raise ValueError("automatic interpolation needs the flux coefficient")
+            raise InvalidConfigError("automatic interpolation needs the flux coefficient")
         dropped = auto_interp_kinds(partition, coeff)
     else:
         fixed = {InterpKind.MINUS: 0, InterpKind.PLUS: k + 1, InterpKind.PLUS_MINUS: k}

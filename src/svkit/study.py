@@ -19,7 +19,7 @@ from .exceptions import InvalidConfigError
 from .mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from .metrics import ErrorReport, convergence_orders, error_report
 from .poly import InterpKind, interpolate
-from .quadrature import MAX_ORDER, RuleKind
+from .quadrature import RuleKind, check_order
 from .sv import SchemeConfig, SVOperator
 from .timestep import integrate_to
 
@@ -57,11 +57,13 @@ class StudyConfig:
                 raise InvalidConfigError(f"unknown scheme {s!r}")
         if len(set(self.schemes)) != len(self.schemes):
             raise InvalidConfigError(f"schemes must not repeat, got {self.schemes}")
+        for k in self.k_values:
+            check_order(k)
         self.k_values = tuple(int(k) for k in self.k_values)
         if len(set(self.k_values)) != len(self.k_values):
             raise InvalidConfigError(f"orders must not repeat, got {self.k_values}")
-        if any(not 1 <= k <= MAX_ORDER for k in self.k_values):
-            raise InvalidConfigError(f"orders must lie in [1, {MAX_ORDER}], got {self.k_values}")
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in self.n_values):
+            raise InvalidConfigError(f"resolutions must be integers, got {self.n_values}")
         self.n_values = tuple(int(n) for n in self.n_values)
         if not (self.schemes and self.k_values and self.n_values):
             raise InvalidConfigError("schemes, orders and resolutions must not be empty")

@@ -26,10 +26,10 @@ from .exceptions import InvalidConfigError, SingularMatrixError
 from .mesh import FluxCoefficient, Partition, Scheme
 from .poly import PiecewisePoly
 from .quadrature import (
-    MAX_ORDER,
     RULE_KINDS,
     QuadratureRule,
     RuleKind,
+    check_order,
     gauss_panel,
     legendre_basis,
     make_rule,
@@ -47,8 +47,7 @@ class SchemeConfig:
     variant: Scheme
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_ORDER:
-            raise InvalidConfigError(f"order k must lie in [1, {MAX_ORDER}], got {self.k}")
+        check_order(self.k)
 
 
 @dataclass(frozen=True)
