@@ -50,72 +50,71 @@ def _traveling_exp(x, t):
     return np.exp(np.sin(x - t))
 
 
-class _NodeTrig:
-    """Per-node factors of the last read-only node array seen, keyed by identity.
+class _WaveSource:
+    """g(x, t) = exp(sin(x - t)) * (f1 + f2 cos(x - t)) for constant per-node factors f1, f2.
 
-    The operators evaluate a source on the same frozen node array at every
-    stage, so a source written through sin(x - t) = sx cos t - cx sin t and
-    cos(x - t) = cx cos t + sx sin t costs one exp per call.  A call returns
-    (sx, cx) followed by ``factors(sx, cx)``, the case's constant per-node
-    factors.  Only arrays that own their data and are read-only are kept, and
-    the kept factors are read-only: a writable array, or a view whose base
-    could change under it, is evaluated afresh every call.
+    Through sin(x - t) = sx ct - cx st and cos(x - t) = cx ct + sx st, with
+    sx, cx = sin x, cos x and ct, st = cos t, sin t, a call costs one exp.
+    ``factors(sx, cx)`` gives (f1, f2).  The operators evaluate a source on
+    the same frozen node array at every stage, so sx, cx, f1 and f2 of the last
+    node array seen are kept, keyed by identity, as read-only arrays.  Only
+    arrays that own their data and are read-only are kept: a writable array,
+    or a view whose base could change under it, is evaluated afresh every call.
+
+    The result is a fresh array, computed with the operations, in the order,
+    of ``np.exp(sx * ct - cx * st) * (f1 + f2 * (cx * ct + sx * st))``, so it
+    is bit for bit that expression's.  Its two full-size temporaries are kept
+    from call to call: a fresh array of this size can cost more than the
+    passes that fill it.
     """
 
     def __init__(self, factors):
         self._factors = factors
         self._x = None
-        self._values = None
+        self._node_values = None
+        self._work = (np.empty(0), np.empty(0))
 
-    def __call__(self, x):
+    def _nodes(self, x):
         if x is self._x and not x.flags.writeable:
-            return self._values
+            return self._node_values
         sx, cx = np.sin(x), np.cos(x)
         values = (sx, cx, *self._factors(sx, cx))
         if isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable:
             for value in values:
                 value.setflags(write=False)
-            self._x, self._values = x, values
+            self._x, self._node_values = x, values
         return values
 
-
-def _wave_source(sx, cx, t, first, scale):
-    """first + scale * cos(x - t), times exp(sin(x - t)), in three full-size buffers.
-
-    The operations and their order are those of
-    ``np.exp(sx * ct - cx * st) * (first + scale * (cx * ct + sx * st))``,
-    so the result is bit for bit that expression's.
-    """
-    ct, st = np.cos(t), np.sin(t)
-    shape = np.broadcast_shapes(np.shape(sx), np.shape(ct))
-    out, wave, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.multiply(sx, ct, out=out)
-    np.multiply(cx, st, out=tmp)
-    np.subtract(out, tmp, out=out)
-    np.exp(out, out=out)
-    np.multiply(cx, ct, out=wave)
-    np.multiply(sx, st, out=tmp)
-    np.add(wave, tmp, out=wave)
-    np.multiply(scale, wave, out=wave)
-    np.add(first, wave, out=wave)
-    np.multiply(out, wave, out=out)
-    return out
+    def __call__(self, x, t):
+        sx, cx, f1, f2 = self._nodes(x)
+        ct, st = np.cos(t), np.sin(t)
+        shape = np.broadcast_shapes(np.shape(sx), np.shape(ct))
+        if self._work[0].shape != shape:
+            self._work = (np.empty(shape), np.empty(shape))
+        wave, tmp = self._work
+        out = np.multiply(sx, ct, out=np.empty(shape))
+        np.multiply(cx, st, out=tmp)
+        np.subtract(out, tmp, out=out)
+        np.exp(out, out=out)
+        np.multiply(cx, ct, out=wave)
+        np.multiply(sx, st, out=tmp)
+        np.add(wave, tmp, out=wave)
+        np.multiply(f2, wave, out=wave)
+        np.add(f1, wave, out=wave)
+        np.multiply(out, wave, out=out)
+        return out
 
 
 def _example1() -> CaseSpec:
     # alpha = sin x vanishes with simple zeros at 0, pi, 2*pi.
-    node_trig = _NodeTrig(lambda sx, cx: (sx - 1.0,))
-
     def u_t(x, t):
         return -np.cos(x - t) * _traveling_exp(x, t)
 
     def u_x(x, t):
         return np.cos(x - t) * _traveling_exp(x, t)
 
-    def source(x, t):
-        # exp(sin(x - t)) * (cos x + (sin x - 1) cos(x - t))
-        sx, cx, sx_m1 = node_trig(x)
-        return _wave_source(sx, cx, t, cx, sx_m1)
+    # g = exp(sin(x - t)) * (cos x + (sin x - 1) cos(x - t))
+    source = _WaveSource(lambda sx, cx: (cx, sx - 1.0))
 
     return CaseSpec(
         case_id="example1",
@@ -131,8 +130,6 @@ def _example1() -> CaseSpec:
 
 def _example2() -> CaseSpec:
     # alpha = sin^2 x vanishes to second order at 0, pi, 2*pi.
-    node_trig = _NodeTrig(lambda sx, cx: (2.0 * sx * cx, sx * sx - 1.0))
-
     def alpha(x):
         return np.sin(x) ** 2
 
@@ -145,10 +142,8 @@ def _example2() -> CaseSpec:
     def u_x(x, t):
         return np.cos(x - t) * _traveling_exp(x, t)
 
-    def source(x, t):
-        # exp(sin(x - t)) * (sin 2x + (sin^2 x - 1) cos(x - t))
-        sx, cx, sin_2x, sx2_m1 = node_trig(x)
-        return _wave_source(sx, cx, t, sin_2x, sx2_m1)
+    # g = exp(sin(x - t)) * (sin 2x + (sin^2 x - 1) cos(x - t))
+    source = _WaveSource(lambda sx, cx: (2.0 * sx * cx, sx * sx - 1.0))
 
     return CaseSpec(
         case_id="example2",

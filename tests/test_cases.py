@@ -156,3 +156,52 @@ def test_read_only_nodes_take_sin_and_cos_once(case_id, monkeypatch):
     case.source(x, 0.25)
     case.source(x, 0.5)
     assert calls == {"sin": 1, "cos": 1}
+
+
+# -- in-place sources against the expressions they replace ---------------------
+
+
+def _expression_source(case_id, x, t):
+    # The sources as one numpy expression each, before they wrote into buffers.
+    sx, cx = np.sin(x), np.cos(x)
+    ct, st = np.cos(t), np.sin(t)
+    if case_id == "example1":
+        return np.exp(sx * ct - cx * st) * (cx + (sx - 1.0) * (cx * ct + sx * st))
+    return np.exp(sx * ct - cx * st) * (
+        2.0 * sx * cx + (sx * sx - 1.0) * (cx * ct + sx * st)
+    )
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+@pytest.mark.parametrize("read_only", [False, True])
+@pytest.mark.parametrize("t_kind", ["scalar", "array", "broadcast"])
+def test_source_bit_identical_to_expression(case_id, read_only, t_kind):
+    case = manufactured_case(case_id)
+    rng = np.random.default_rng(34)
+    for shape in [(4, 5, 64), (7,)]:
+        x = rng.uniform(-1.0, 2 * np.pi + 1.0, shape)
+        if read_only:
+            x = _frozen(x)
+        for _ in range(3):  # the second and third calls on read-only x hit the memo
+            t = {"scalar": float(rng.uniform(0.0, 2.0)),
+                 "array": rng.uniform(0.0, 2.0, shape),
+                 "broadcast": rng.uniform(0.0, 2.0, (2,) + (1,) * len(shape))}[t_kind]
+            g = case.source(x, t)
+            ref = _expression_source(case_id, x, t)
+            assert g.shape == ref.shape
+            assert np.array_equal(g, ref)
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+def test_source_results_are_fresh_and_node_factors_read_only(case_id):
+    case = manufactured_case(case_id)
+    x = _frozen(np.random.default_rng(9).uniform(0.0, 2 * np.pi, (6, 4, 8)))
+    first = case.source(x, 0.4)
+    first[...] = 0.0  # the caller owns the result: no buffer is shared between calls
+    assert np.array_equal(case.source(x, 0.4), _expression_source(case_id, x, 0.4))
+    memo = case.source._nodes(x)  # sin x, cos x and the case's two node factors
+    assert case.source._nodes(x) is memo
+    assert len(memo) == 4
+    for factor in memo:
+        assert factor.shape == x.shape
+        assert not factor.flags.writeable

@@ -8,6 +8,7 @@ from svkit.exceptions import BelowRoundoffError
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.metrics import (
     _BISECT_STEPS,
+    _auto_node_extrema,
     _extrema_batch,
     compare_sv_dg,
     convergence_orders,
@@ -15,6 +16,9 @@ from svkit.metrics import (
     node_polynomial_extrema,
 )
 from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate, interpolation_nodes
+from svkit.quadrature import RuleKind
+
+from strategies import breakpoint_zero_coefficients
 
 
 # -- extrema points ---------------------------------------------------------------
@@ -108,6 +112,45 @@ def test_extrema_batch_bit_identical_on_interpolation_nodes(scheme, k):
     part = build_partition(mesh, k, scheme, coeff)
     nodes = interpolation_nodes(part, coeff, InterpKind.AUTO).x
     assert np.array_equal(_extrema_batch(nodes), _extrema_per_gap(nodes))
+
+
+# Mapping each reference node set's extrema into the elements moves them by
+# roundoff only, against bisecting every element's domain nodes.
+_MAPPED_EXTREMA_TOL = 4 * np.spacing(2 * np.pi)
+
+
+def _assert_mapped_extrema_match_bisection(part, coeff):
+    z, s_z = _auto_node_extrema(part, coeff)
+    assert np.max(np.abs(z - _extrema_batch(interpolation_nodes(part, coeff).x))) <= _MAPPED_EXTREMA_TOL
+    nodes = interpolation_nodes(part, coeff).s
+    assert np.all((nodes[:, :-1] < s_z) & (s_z < nodes[:, 1:]))
+
+
+@pytest.mark.parametrize(
+    "scheme, tie_break",
+    [(Scheme.LSV, RuleKind.RADAU_RIGHT), (Scheme.LSV, RuleKind.RADAU_LEFT),
+     (Scheme.RSV, RuleKind.RADAU_RIGHT), (Scheme.RSV, RuleKind.RADAU_LEFT)],
+)
+@pytest.mark.parametrize("k", range(1, 13))
+def test_mapped_reference_extrema_match_per_element_bisection(scheme, tie_break, k):
+    # Uniform even meshes put the zeros of alpha = sin x on breakpoints.
+    case = manufactured_case(1)
+    for n, perturbation in ((8, 0.0), (13, 0.3), (64, 0.0), (2048, 0.3)):
+        mesh = build_mesh(n, perturbation, seed=k)
+        coeff = FluxCoefficient(case.alpha, mesh)
+        _assert_mapped_extrema_match_bisection(build_partition(mesh, k, scheme, coeff, tie_break), coeff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mesh_coeff=breakpoint_zero_coefficients(),
+    k=st.integers(1, 12),
+    scheme=st.sampled_from([Scheme.RSV, Scheme.LSV]),
+    tie_break=st.sampled_from([RuleKind.RADAU_RIGHT, RuleKind.RADAU_LEFT]),
+)
+def test_mapped_reference_extrema_with_zeros_on_breakpoints(mesh_coeff, k, scheme, tie_break):
+    mesh, coeff = mesh_coeff
+    _assert_mapped_extrema_match_bisection(build_partition(mesh, k, scheme, coeff, tie_break), coeff)
 
 
 # -- error functionals --------------------------------------------------------------

@@ -125,6 +125,15 @@ def test_interpolant_kind_must_be_an_interp_kind(kind):
         interpolation_nodes(part, coeff, kind)
 
 
+def test_auto_interpolant_needs_the_flux_coefficient():
+    mesh = build_mesh(6)
+    part = build_partition(mesh, 2, Scheme.LSV, FluxCoefficient(np.sin, mesh))
+    with pytest.raises(InvalidConfigError):
+        interpolate(np.cos, part)
+    with pytest.raises(InvalidConfigError):
+        interpolation_nodes(part, None, InterpKind.AUTO)
+
+
 def test_interpolation_matches_at_nodes():
     mesh = build_mesh(8, 0.15, seed=2)
     coeff = FluxCoefficient(np.sin, mesh)

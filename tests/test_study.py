@@ -1,12 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svkit.cases import manufactured_case
 from svkit.cli import main
-from svkit.exceptions import InvalidConfigError
+from svkit.exceptions import InvalidConfigError, SvkitError
 from svkit.metrics import ErrorReport
 from svkit.quadrature import _build_rule
-from svkit.study import StudyConfig, emit_table, render_table, run_single, run_study
+from svkit.study import SCHEME_NAMES, StudyConfig, emit_table, render_table, run_single, run_study
 
 FAST = dict(n_values=(8, 16), t_final=0.1)
 
@@ -62,6 +67,63 @@ def test_config_rejects_bad_times(field, value):
     # Checked before any job runs; inf as dt_factor used to run one step of size T.
     with pytest.raises(InvalidConfigError):
         StudyConfig(**{field: value})
+
+
+# -- random bad configurations -------------------------------------------------
+
+_GOOD_FIELDS = dict(schemes=("rsv",), k_values=(1,), n_values=(8, 16), t_final=0.01)
+_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+_NON_INTEGERS = st.floats(allow_nan=True, allow_infinity=True).filter(
+    lambda v: not (np.isfinite(v) and v == int(v))
+)
+_BAD_FIELDS = st.one_of(
+    st.tuples(st.just("k_values"), st.one_of(
+        st.integers(max_value=0).map(lambda k: (k,)),
+        st.integers(min_value=13).map(lambda k: (1, k)),
+        st.integers(1, 12).map(lambda k: (k, k)),
+        st.floats(1.0, 12.0).map(lambda k: (k,)),
+        st.just((True,)),
+    )),
+    st.tuples(st.just("n_values"), st.one_of(
+        st.integers(max_value=3).map(lambda n: (n, 64)),
+        st.integers(4, 99).map(lambda n: (n + 1, n)),
+        st.integers(4, 99).map(lambda n: (n, n)),
+        st.floats(4.0, 99.0).map(lambda n: (n,)),
+    )),
+    st.tuples(st.just("schemes"), _WORDS.filter(lambda s: s not in SCHEME_NAMES).map(lambda s: (s,))),
+    st.tuples(st.just("tie_break"), _WORDS.filter(lambda s: s not in ("right", "left"))),
+    st.tuples(st.just("seed"), st.integers(max_value=-1) | _NON_INTEGERS),
+    st.tuples(st.sampled_from(["t_final", "dt_factor"]),
+              st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0])),
+)
+_CLI_KEYS = {"schemes": "scheme", "k_values": "k", "n_values": "n"}
+
+
+def _config_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(bad=_BAD_FIELDS)
+def test_random_bad_config_raises_svkit_error(bad):
+    field, value = bad
+    with pytest.raises(SvkitError):
+        StudyConfig(**{**_GOOD_FIELDS, field: value})
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(bad=_BAD_FIELDS)
+def test_random_bad_config_file_exits_with_status_1(bad):
+    # The same fields through a key=value config file, which reaches every one.
+    field, value = bad
+    fields = {**_GOOD_FIELDS, field: value}
+    text = "".join(f"{_CLI_KEYS.get(f, f)} = {_config_text(v)}\n" for f, v in fields.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "study.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 1
 
 
 def test_run_study_reports_and_orders():

@@ -28,6 +28,7 @@ from svkit.timestep import integrate_to
 from svkit.exceptions import InvalidConfigError
 
 from flux_reference import upwind_fluxes
+from strategies import breakpoint_zero_coefficients
 
 
 def _random_poly(mesh, k, seed):
@@ -236,6 +237,21 @@ def test_config_validation():
         SVOperator(SchemeConfig(2, Scheme.LSV), part, coeff)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_scheme_config_rejects_non_integer_order(k):
+    with pytest.raises(InvalidConfigError):
+        SchemeConfig(k, Scheme.RSV)
+
+
+def test_scheme_config_accepts_numpy_order():
+    mesh = build_mesh(6)
+    coeff = FluxCoefficient(np.sin, mesh)
+    part = build_partition(mesh, 2, Scheme.RSV, coeff)
+    u = _random_poly(mesh, 2, 4)
+    op = SVOperator(SchemeConfig(np.int64(2), Scheme.RSV), part, coeff)
+    assert np.array_equal(op(u, 0.0).coeffs, SVOperator(SchemeConfig(2, Scheme.RSV), part, coeff)(u, 0.0).coeffs)
+
+
 @pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
 def test_variable_coefficient_norm_growth_bound(scheme):
     # free evolution with alpha = sin x: the broken L2 norm may grow at most
@@ -339,31 +355,6 @@ def test_stacked_operator_matches_element_loop(
     back = interpolate(lambda x: u.eval_ref(nodes.s), part, coeff, interp_kind)
     scale = max(1.0, float(np.max(np.abs(u.coeffs))))
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12 * scale
-
-
-@st.composite
-def breakpoint_zero_coefficients(draw):
-    """A jittered mesh and a trigonometric alpha that vanishes exactly on some breakpoints.
-
-    alpha = amp * prod_j sin((x - z_j) / 2) over an even number of breakpoints
-    z_j, so it is 2*pi-periodic and x - z_j is exactly zero at x = z_j.  A
-    breakpoint drawn twice is a double zero, where alpha touches 0 without
-    changing sign.
-    """
-    n = draw(st.integers(4, 24))
-    mesh = build_mesh(n, draw(st.floats(0.0, 0.35)), seed=draw(st.integers(0, 2**16)))
-    pairs = draw(st.integers(1, 2))
-    idx = draw(st.lists(st.integers(0, n - 1), min_size=2 * pairs, max_size=2 * pairs))
-    zeros = mesh.breakpoints[idx]
-    amp = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
-
-    def alpha(x):
-        x = np.asarray(x, dtype=float)
-        return amp * np.prod([np.sin(0.5 * (x - z)) for z in zeros], axis=0)
-
-    coeff = FluxCoefficient(alpha, mesh)
-    assert np.all(coeff.interface_values[idx] == 0.0)
-    return mesh, coeff
 
 
 @settings(max_examples=60, deadline=None)
