@@ -61,18 +61,15 @@ class _WaveSource:
     arrays that own their data and are read-only are kept: a writable array,
     or a view whose base could change under it, is evaluated afresh every call.
 
-    The result is a fresh array, computed with the operations, in the order,
-    of ``np.exp(sx * ct - cx * st) * (f1 + f2 * (cx * ct + sx * st))``, so it
-    is bit for bit that expression's.  Its two full-size temporaries are kept
-    from call to call: a fresh array of this size can cost more than the
-    passes that fill it.
+    A call writes into three full-size arrays, with the operations, in the
+    order, of ``np.exp(sx * ct - cx * st) * (f1 + f2 * (cx * ct + sx * st))``,
+    so its result is bit for bit that expression's.
     """
 
     def __init__(self, factors):
         self._factors = factors
         self._x = None
         self._node_values = None
-        self._work = (np.empty(0), np.empty(0))
 
     def _nodes(self, x):
         if x is self._x and not x.flags.writeable:
@@ -89,10 +86,8 @@ class _WaveSource:
         sx, cx, f1, f2 = self._nodes(x)
         ct, st = np.cos(t), np.sin(t)
         shape = np.broadcast_shapes(np.shape(sx), np.shape(ct))
-        if self._work[0].shape != shape:
-            self._work = (np.empty(shape), np.empty(shape))
-        wave, tmp = self._work
-        out = np.multiply(sx, ct, out=np.empty(shape))
+        out, wave, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+        np.multiply(sx, ct, out=out)
         np.multiply(cx, st, out=tmp)
         np.subtract(out, tmp, out=out)
         np.exp(out, out=out)
