@@ -85,13 +85,13 @@ class _WaveSource:
     def __call__(self, x, t):
         sx, cx, f1, f2 = self._nodes(x)
         ct, st = np.cos(t), np.sin(t)
-        shape = np.broadcast_shapes(np.shape(sx), np.shape(ct))
-        out, wave, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-        np.multiply(sx, ct, out=out)
-        np.multiply(cx, st, out=tmp)
+        # The first products allocate the three arrays, so a small call costs
+        # no more than the expression; asarray turns a 0-d x's scalars into arrays.
+        out = np.asarray(sx * ct)
+        tmp = np.asarray(cx * st)
         np.subtract(out, tmp, out=out)
         np.exp(out, out=out)
-        np.multiply(cx, ct, out=wave)
+        wave = np.asarray(cx * ct)
         np.multiply(sx, st, out=tmp)
         np.add(wave, tmp, out=wave)
         np.multiply(f2, wave, out=wave)
