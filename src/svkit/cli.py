@@ -73,7 +73,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise SvkitError(f"bad config line (expected key=value): {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().lower().replace("-", "_")
-        if key not in _FILE_PARSERS:
+        if key not in _FIELDS:
             raise SvkitError(f"unknown config key {key!r} in {path}")
         values[key] = value.strip()
     return values
@@ -83,31 +83,36 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
-_FILE_PARSERS = {
-    "example": str,
-    "scheme": str,
-    "k": str,
-    "n": str,
-    "t_final": float,
-    "dt_factor": float,
-    "tie_break": str,
-    "perturb": float,
-    "seed": int,
-    "compare_dg": lambda s: _BOOL_WORDS[s.lower()],
-    "format": str,
-    "out": str,
+# Each flag or config key: the StudyConfig field it sets and the parser of its text.
+_FIELDS = {
+    "example": ("example", str),
+    "scheme": ("schemes", _str_list),
+    "k": ("k_values", _int_list),
+    "n": ("n_values", _int_list),
+    "t_final": ("t_final", float),
+    "dt_factor": ("dt_factor", float),
+    "tie_break": ("tie_break", str),
+    "perturb": ("perturbation", float),
+    "seed": ("seed", int),
+    "compare_dg": ("compare_dg", lambda s: _BOOL_WORDS[s.lower()]),
+    "format": ("fmt", str),
+    "out": ("out", str),
 }
 
 
-def _merge(cli_value, file_values: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        try:
-            return _FILE_PARSERS[key](file_values[key])
-        except (KeyError, ValueError):
-            raise InvalidConfigError(f"bad value for {key!r}: {file_values[key]!r}") from None
-    return default
+def _study_config(args: argparse.Namespace, file_values: dict[str, str]) -> StudyConfig:
+    """Flags first, then the config file; a key neither gives keeps StudyConfig's default."""
+    settings = {}
+    for key, (name, parse) in _FIELDS.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            settings[name] = parse(flag) if isinstance(flag, str) else flag
+        elif key in file_values:
+            try:
+                settings[name] = parse(file_values[key])
+            except (KeyError, ValueError):
+                raise InvalidConfigError(f"bad value for {key!r}: {file_values[key]!r}") from None
+    return StudyConfig(**settings)
 
 
 def main(argv=None) -> int:
@@ -115,20 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         file_values = _load_config_file(args.config) if args.config else {}
-        config = StudyConfig(
-            example=str(_merge(args.example, file_values, "example", "1")),
-            schemes=_str_list(str(_merge(args.scheme, file_values, "scheme", "rsv"))),
-            k_values=_int_list(str(_merge(args.k, file_values, "k", "1"))),
-            n_values=_int_list(str(_merge(args.n, file_values, "n", "32,64"))),
-            t_final=_merge(args.t_final, file_values, "t_final", None),
-            dt_factor=_merge(args.dt_factor, file_values, "dt_factor", 0.01),
-            tie_break=str(_merge(args.tie_break, file_values, "tie_break", "right")),
-            perturbation=_merge(args.perturb, file_values, "perturb", 0.0),
-            seed=_merge(args.seed, file_values, "seed", 0),
-            compare_dg=bool(_merge(args.compare_dg, file_values, "compare_dg", False)),
-            fmt=str(_merge(args.format, file_values, "format", "csv")),
-            out=_merge(args.out, file_values, "out", None),
-        )
+        config = _study_config(args, file_values)
         result = run_study(config)
         text = emit_table(result, config.fmt, config.out)
         if config.out is None:

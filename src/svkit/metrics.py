@@ -10,7 +10,7 @@ over nodes unscaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -18,14 +18,7 @@ import numpy as np
 
 from .exceptions import BelowRoundoffError
 from .mesh import FluxCoefficient, Mesh1D, Partition
-from .poly import (
-    InterpKind,
-    PiecewisePoly,
-    auto_interp_kinds,
-    broken_norm,
-    interpolate,
-    interpolation_nodes,
-)
+from .poly import PiecewisePoly, _fit, _grid_l2, _nodes_without, auto_interp_kinds, broken_norm
 from .quadrature import RULE_KINDS, gauss_panel, make_rule
 
 _BISECT_STEPS = 60
@@ -86,16 +79,16 @@ def _reference_extrema(code: int, dropped: int, k: int) -> np.ndarray:
     return z
 
 
-def _auto_node_extrema(partition: Partition, coeff: FluxCoefficient):
+def _auto_node_extrema(partition: Partition, dropped: np.ndarray):
     """(N, k) domain and reference coordinates of the extrema of each AUTO node set.
 
     Every element's node set is the affine image of one reference set, fixed
-    by its rule code and its dropped point, so only the few sets in use are
+    by its rule code and its ``dropped`` point, so only the few sets in use are
     bisected and each element maps its set's extrema.
     """
     mesh = partition.mesh
     k = partition.k
-    codes = partition.kinds * (k + 2) + auto_interp_kinds(partition, coeff)
+    codes = partition.kinds * (k + 2) + dropped
     table = np.zeros((len(RULE_KINDS) * (k + 2), k))
     for code in np.flatnonzero(np.bincount(codes)):
         table[code] = _reference_extrema(*divmod(int(code), k + 2), k)
@@ -132,30 +125,15 @@ class ErrorReport:
     dg_diff_flux_cell_rms: float | None = None
     dg_diff_cell_rms: float | None = None
 
-    METRIC_FIELDS = (
-        "l2",
-        "linf",
-        "flux_gap_l2",
-        "flux_cell_rms",
-        "flux_node_rms",
-        "flux_iface_rms",
-        "flux_deriv_rms",
-        "gap_l2",
-        "cell_rms",
-        "node_rms",
-        "iface_rms",
-        "extrema_value_rms",
-        "extrema_deriv_rms",
-        "dg_diff_l2",
-        "dg_diff_flux_cell_rms",
-        "dg_diff_cell_rms",
-    )
-
     def metric_items(self):
         for name in self.METRIC_FIELDS:
             value = getattr(self, name)
             if value is not None:
                 yield name, value
+
+
+# The metrics are the fields after the run's identity (scheme, k, n, t_final).
+ErrorReport.METRIC_FIELDS = tuple(f.name for f in fields(ErrorReport)[4:])
 
 
 def _quad_grid(mesh: Mesh1D, k: int):
@@ -165,66 +143,30 @@ def _quad_grid(mesh: Mesh1D, k: int):
     return sg, wg, x
 
 
-def _functional_parts(u_h, u, u_x, coeff, partition) -> dict[str, float]:
-    mesh = partition.mesh
-    n = mesh.n_elements
-    k = partition.k
-    interp = interpolate(u, partition, coeff, InterpKind.AUTO)
-    diff = u_h - interp
+def _rms(values: np.ndarray) -> float:
+    """Root of the summed squares over the element count, the length of ``values``."""
+    return float(np.sqrt(np.sum(values ** 2) / len(values)))
 
-    out: dict[str, float] = {}
-    out["flux_gap_l2"] = broken_norm(diff, "l2", weight=coeff.alpha)
-    out["gap_l2"] = broken_norm(diff, "l2")
 
-    # Interfaces x_{i+1/2}, i = 1..N; the wrap interface is the first one.
-    a_if = coeff.interface_values[1:]
-    x_if = mesh.breakpoints[1:]
-    u_if = np.asarray(u(x_if), dtype=float)
-    uhat = np.where(a_if > 0.0, u_h.right_traces(), np.roll(u_h.left_traces(), -1))
-    out["flux_iface_rms"] = float(np.sqrt(np.mean((a_if * u_if - a_if * uhat) ** 2)))
-    out["iface_rms"] = float(np.sqrt(np.mean((u_if - uhat) ** 2)))
+def _twin_functionals(diff: PiecewisePoly, aq: np.ndarray, sg, wg) -> tuple[float, float, float]:
+    """L2, flux-weighted cell RMS and cell RMS of an SV-minus-DG difference.
 
-    # Cell averages of the mismatch, flux-weighted and plain.
-    sg, wg, xq = _quad_grid(mesh, k)
-    mismatch = np.asarray(u(xq), dtype=float) - u_h.eval_ref(sg)
-    aq = np.asarray(coeff.alpha(xq), dtype=float)
-    out["flux_cell_rms"] = float(np.sqrt(np.mean((0.5 * ((aq * mismatch) @ wg)) ** 2)))
-    out["cell_rms"] = float(np.sqrt(np.mean((0.5 * (mismatch @ wg)) ** 2)))
-
-    # Interpolation nodes and the stationary points of the node polynomial.
-    nodes = interpolation_nodes(partition, coeff, InterpKind.AUTO)
-    node_mismatch = np.asarray(u(nodes.x), dtype=float) - u_h.eval_ref(nodes.s)
-    a_nodes = np.asarray(coeff.alpha(nodes.x), dtype=float)
-    out["flux_node_rms"] = float(np.sqrt(np.sum((a_nodes * node_mismatch) ** 2) / n))
-    out["node_rms"] = float(np.sqrt(np.sum(node_mismatch ** 2) / n))
-
-    z, s_z = _auto_node_extrema(partition, coeff)
-    dz = np.asarray(u_x(z), dtype=float) - u_h.eval_ref_deriv(s_z)
-    vz = np.asarray(u(z), dtype=float) - u_h.eval_ref(s_z)
-    a_z = np.asarray(coeff.alpha(z), dtype=float)
-    out["flux_deriv_rms"] = float(np.sqrt(np.sum((a_z * dz) ** 2) / n))
-    out["extrema_value_rms"] = float(np.sqrt(np.sum(vz ** 2) / n))
-    out["extrema_deriv_rms"] = float(np.sqrt(np.sum(dz ** 2) / n))
-    return out
+    ``aq`` is alpha on the Gauss grid ``sg``; the cell RMS reads the exact mean modes.
+    """
+    samples = diff.eval_ref(sg)
+    return (
+        _grid_l2(samples, wg, diff.mesh.sizes),
+        _rms(0.5 * ((aq * samples) @ wg)),
+        _rms(diff.coeffs[:, 0]),
+    )
 
 
 def compare_sv_dg(
     u_sv: PiecewisePoly, u_dg: PiecewisePoly, coeff: FluxCoefficient
 ) -> tuple[float, float, float]:
     """L2, flux-weighted cell RMS, and cell RMS of the SV-minus-DG difference."""
-    diff = u_sv - u_dg
-    l2 = broken_norm(diff, "l2")
-    mesh = u_sv.mesh
-    sg, wg, xq = _quad_grid(mesh, u_sv.k)
-    aq = np.asarray(coeff.alpha(xq), dtype=float)
-    flux_cell = 0.5 * ((aq * diff.eval_ref(sg)) @ wg)
-    cell = diff.coeffs[:, 0]
-    n = mesh.n_elements
-    return (
-        float(l2),
-        float(np.sqrt(np.sum(flux_cell ** 2) / n)),
-        float(np.sqrt(np.sum(cell ** 2) / n)),
-    )
+    sg, wg, xq = _quad_grid(u_sv.mesh, u_sv.k)
+    return _twin_functionals(u_sv - u_dg, np.asarray(coeff.alpha(xq), dtype=float), sg, wg)
 
 
 def error_report(
@@ -238,22 +180,61 @@ def error_report(
     t_final: float,
     u_dg: PiecewisePoly | None = None,
 ) -> ErrorReport:
-    """Assemble the full functional report for one finished run."""
-    parts = _functional_parts(u_h, u, u_x, coeff, partition)
-    comparison = (None, None, None)
-    if u_dg is not None:
-        comparison = compare_sv_dg(u_h, u_dg, coeff)
+    """Assemble the full functional report for one finished run.
+
+    u, u_x, alpha and u_h are sampled once on each point set (the Gauss grid,
+    the interfaces, the AUTO nodes and their extrema); every functional is
+    reduced from those samples.
+    """
+    mesh = partition.mesh
+    dropped = auto_interp_kinds(partition, coeff)
+
+    # Interpolation nodes; the interpolant of u is fitted to the same sample.
+    nodes = _nodes_without(partition, dropped)
+    u_nodes = np.asarray(u(nodes.x), dtype=float)
+    node_mismatch = u_nodes - u_h.eval_ref(nodes.s)
+    a_nodes = np.asarray(coeff.alpha(nodes.x), dtype=float)
+    gap = u_h - _fit(u_nodes, nodes, partition)
+
+    # Gauss grid: the L2 errors and the cell averages of the mismatch.
+    sg, wg, xq = _quad_grid(mesh, partition.k)
+    mismatch = np.asarray(u(xq), dtype=float) - u_h.eval_ref(sg)
+    aq = np.asarray(coeff.alpha(xq), dtype=float)
+    gap_q = gap.eval_ref(sg)
+
+    # Interfaces x_{i+1/2}, i = 1..N; the wrap interface is the first one.
+    a_if = coeff.interface_values[1:]
+    u_if = np.asarray(u(mesh.breakpoints[1:]), dtype=float)
+    uhat = np.where(a_if > 0.0, u_h.right_traces(), np.roll(u_h.left_traces(), -1))
+
+    # Stationary points of the node polynomials.
+    z, s_z = _auto_node_extrema(partition, dropped)
+    dz = np.asarray(u_x(z), dtype=float) - u_h.eval_ref_deriv(s_z)
+    vz = np.asarray(u(z), dtype=float) - u_h.eval_ref(s_z)
+    a_z = np.asarray(coeff.alpha(z), dtype=float)
+
+    twin = (None, None, None) if u_dg is None else _twin_functionals(u_h - u_dg, aq, sg, wg)
     return ErrorReport(
         scheme=scheme,
         k=partition.k,
-        n=partition.mesh.n_elements,
+        n=mesh.n_elements,
         t_final=t_final,
-        l2=broken_norm(u_h, "l2", reference=u),
+        l2=_grid_l2(mismatch, wg, mesh.sizes),
         linf=broken_norm(u_h, "linf", reference=u),
-        dg_diff_l2=comparison[0],
-        dg_diff_flux_cell_rms=comparison[1],
-        dg_diff_cell_rms=comparison[2],
-        **parts,
+        flux_gap_l2=_grid_l2(gap_q * aq, wg, mesh.sizes),
+        flux_cell_rms=_rms(0.5 * ((aq * mismatch) @ wg)),
+        flux_node_rms=_rms(a_nodes * node_mismatch),
+        flux_iface_rms=_rms(a_if * u_if - a_if * uhat),
+        flux_deriv_rms=_rms(a_z * dz),
+        gap_l2=_grid_l2(gap_q, wg, mesh.sizes),
+        cell_rms=_rms(0.5 * (mismatch @ wg)),
+        node_rms=_rms(node_mismatch),
+        iface_rms=_rms(u_if - uhat),
+        extrema_value_rms=_rms(vz),
+        extrema_deriv_rms=_rms(dz),
+        dg_diff_l2=twin[0],
+        dg_diff_flux_cell_rms=twin[1],
+        dg_diff_cell_rms=twin[2],
     )
 
 

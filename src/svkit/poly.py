@@ -211,19 +211,21 @@ def interpolation_nodes(
     A ``kind`` that is not an :class:`InterpKind`, or AUTO without ``coeff``,
     raises InvalidConfigError.
     """
-    n = partition.mesh.n_elements
-    k = partition.k
     if not isinstance(kind, InterpKind):
         raise InvalidConfigError(f"unknown interpolant kind {kind!r}")
     if kind is InterpKind.AUTO:
         if coeff is None:
             raise InvalidConfigError("automatic interpolation needs the flux coefficient")
-        dropped = auto_interp_kinds(partition, coeff)
-    else:
-        fixed = {InterpKind.MINUS: 0, InterpKind.PLUS: k + 1, InterpKind.PLUS_MINUS: k}
-        dropped = np.full(n, fixed[kind])
-    keep = np.arange(k + 2) != dropped[:, None]
-    s_nodes = partition.ref_points[keep].reshape(n, k + 1)
+        return _nodes_without(partition, auto_interp_kinds(partition, coeff))
+    k = partition.k
+    fixed = {InterpKind.MINUS: 0, InterpKind.PLUS: k + 1, InterpKind.PLUS_MINUS: k}
+    return _nodes_without(partition, np.full(partition.mesh.n_elements, fixed[kind]))
+
+
+def _nodes_without(partition: Partition, dropped: np.ndarray) -> InterpNodes:
+    """The node sets that leave out partition point ``dropped[i]`` of each element i."""
+    keep = np.arange(partition.k + 2) != dropped[:, None]
+    s_nodes = partition.ref_points[keep].reshape(dropped.size, partition.k + 1)
     gaps = np.diff(s_nodes, axis=1).min(axis=1)
     if gaps.min() < 1e-13:
         raise DegenerateNodesError(f"interpolation nodes coincide in element {gaps.argmin()}")
@@ -243,9 +245,13 @@ def interpolate(
     polynomial of degree <= k exactly.
     """
     nodes = interpolation_nodes(partition, coeff, kind)
-    fx = np.asarray(f(nodes.x), dtype=float)
+    return _fit(np.asarray(f(nodes.x), dtype=float), nodes, partition)
+
+
+def _fit(values: np.ndarray, nodes: InterpNodes, partition: Partition) -> PiecewisePoly:
+    """The broken polynomial that takes the (N, k+1) ``values`` at ``nodes``."""
     vand = legendre_basis(partition.k, nodes.s)  # (N, k+1, k+1), rows are nodes
-    coeffs = np.linalg.solve(vand, fx[..., None])[..., 0]
+    coeffs = np.linalg.solve(vand, values[..., None])[..., 0]
     return PiecewisePoly(partition.mesh, partition.k, coeffs)
 
 
@@ -342,5 +348,9 @@ def broken_norm(
 
     if kind == "linf":
         return float(np.max(np.abs(vals)))
-    per_elem = (vals * vals) @ wq
-    return float(np.sqrt(0.5 * np.dot(mesh.sizes, per_elem)))
+    return _grid_l2(vals, wq, mesh.sizes)
+
+
+def _grid_l2(values: np.ndarray, weights: np.ndarray, sizes: np.ndarray) -> float:
+    """Broken L2 norm from (N, q) samples on one Gauss panel of ``weights`` per element."""
+    return float(np.sqrt(0.5 * np.dot(sizes, (values * values) @ weights)))

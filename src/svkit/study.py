@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,11 @@ class StudyConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("schemes", "k_values", "n_values"):
+            values = getattr(self, name)
+            if isinstance(values, str) or not isinstance(values, Iterable):
+                raise InvalidConfigError(f"{name} must be a sequence, got {values!r}")
+            setattr(self, name, tuple(values))
         self.schemes = tuple(str(s).lower() for s in self.schemes)
         for s in self.schemes:
             if s not in SCHEME_NAMES:
@@ -73,16 +79,26 @@ class StudyConfig:
             raise InvalidConfigError("resolutions must be strictly increasing")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.tie_break not in _TIE_BREAKS:
+        if not isinstance(self.tie_break, str) or self.tie_break not in _TIE_BREAKS:
             raise InvalidConfigError(f"unknown tie break {self.tie_break!r}")
         if self.fmt not in ("csv", "md"):
             raise InvalidConfigError(f"unknown output format {self.fmt!r}")
+        if not isinstance(self.compare_dg, bool):
+            raise InvalidConfigError(f"compare_dg must be True or False, got {self.compare_dg!r}")
+        if self.out is not None and not isinstance(self.out, (str, Path)):
+            raise InvalidConfigError(f"output path must be a string, got {self.out!r}")
+        if not isinstance(self.perturbation, numbers.Real):
+            raise InvalidConfigError(f"perturbation must be a number, got {self.perturbation!r}")
         # Checked here, before any job runs: a NaN or infinite time would only
         # surface mid-study, or not at all (dt = inf is one step of size T).
-        if not (math.isfinite(self.dt_factor) and self.dt_factor > 0):
+        if not _finite_positive(self.dt_factor):
             raise InvalidConfigError(f"dt factor must be finite and positive, got {self.dt_factor}")
-        if self.t_final is not None and not (math.isfinite(self.t_final) and self.t_final > 0):
+        if self.t_final is not None and not _finite_positive(self.t_final):
             raise InvalidConfigError(f"final time must be finite and positive, got {self.t_final}")
+
+
+def _finite_positive(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import svkit.metrics
+import svkit.poly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +9,7 @@ from svkit.cases import manufactured_case
 from svkit.exceptions import BelowRoundoffError
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.metrics import (
+    ErrorReport,
     _BISECT_STEPS,
     _auto_node_extrema,
     _extrema_batch,
@@ -15,8 +18,8 @@ from svkit.metrics import (
     error_report,
     node_polynomial_extrema,
 )
-from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate, interpolation_nodes
-from svkit.quadrature import RuleKind
+from svkit.poly import InterpKind, PiecewisePoly, auto_interp_kinds, broken_norm, interpolate, interpolation_nodes
+from svkit.quadrature import RuleKind, gauss_panel
 
 from strategies import breakpoint_zero_coefficients
 
@@ -120,7 +123,7 @@ _MAPPED_EXTREMA_TOL = 4 * np.spacing(2 * np.pi)
 
 
 def _assert_mapped_extrema_match_bisection(part, coeff):
-    z, s_z = _auto_node_extrema(part, coeff)
+    z, s_z = _auto_node_extrema(part, auto_interp_kinds(part, coeff))
     assert np.max(np.abs(z - _extrema_batch(interpolation_nodes(part, coeff).x))) <= _MAPPED_EXTREMA_TOL
     nodes = interpolation_nodes(part, coeff).s
     assert np.all((nodes[:, :-1] < s_z) & (s_z < nodes[:, 1:]))
@@ -271,6 +274,121 @@ def test_compare_sv_dg_cell_schemes():
     l2, fc, cc = compare_sv_dg(u, v, coeff)
     assert cc == pytest.approx(1e-3, rel=1e-12)
     assert l2 == pytest.approx(1e-3 * np.sqrt(2 * np.pi), rel=1e-12)
+
+
+# -- one-pass report against each functional's own definition ---------------------
+
+
+def _defined_fields(u_h, u, u_x, coeff, part, u_dg):
+    """Every report field from its definition: norms, interpolant and samples of their own."""
+    mesh, k, n = part.mesh, part.k, part.mesh.n_elements
+    rms = lambda v: float(np.sqrt(np.sum(v ** 2) / n))
+    gap = u_h - interpolate(u, part, coeff, InterpKind.AUTO)
+    sg, wg = gauss_panel(k + 3)
+    xq = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg[None, :]
+    mismatch = u(xq) - u_h.eval_ref(sg)
+    a_if = coeff.interface_values[1:]
+    u_if = u(mesh.breakpoints[1:])
+    uhat = np.where(a_if > 0.0, u_h.right_traces(), np.roll(u_h.left_traces(), -1))
+    nodes = interpolation_nodes(part, coeff, InterpKind.AUTO)
+    node_mismatch = u(nodes.x) - u_h.eval_ref(nodes.s)
+    z, s_z = _auto_node_extrema(part, auto_interp_kinds(part, coeff))
+    dz = u_x(z) - u_h.eval_ref_deriv(s_z)
+    fields = dict(
+        l2=broken_norm(u_h, "l2", reference=u),
+        linf=broken_norm(u_h, "linf", reference=u),
+        flux_gap_l2=broken_norm(gap, "l2", weight=coeff.alpha),
+        flux_cell_rms=float(np.sqrt(np.mean((0.5 * ((coeff.alpha(xq) * mismatch) @ wg)) ** 2))),
+        flux_node_rms=rms(coeff.alpha(nodes.x) * node_mismatch),
+        flux_iface_rms=float(np.sqrt(np.mean((a_if * u_if - a_if * uhat) ** 2))),
+        flux_deriv_rms=rms(coeff.alpha(z) * dz),
+        gap_l2=broken_norm(gap, "l2"),
+        cell_rms=float(np.sqrt(np.mean((0.5 * (mismatch @ wg)) ** 2))),
+        node_rms=rms(node_mismatch),
+        iface_rms=float(np.sqrt(np.mean((u_if - uhat) ** 2))),
+        extrema_value_rms=rms(u(z) - u_h.eval_ref(s_z)),
+        extrema_deriv_rms=rms(dz),
+        dg_diff_l2=None, dg_diff_flux_cell_rms=None, dg_diff_cell_rms=None,
+    )
+    if u_dg is not None:
+        diff = u_h - u_dg
+        flux_cell = 0.5 * ((coeff.alpha(xq) * diff.eval_ref(sg)) @ wg)
+        fields.update(
+            dg_diff_l2=broken_norm(diff, "l2"),
+            dg_diff_flux_cell_rms=rms(flux_cell),
+            dg_diff_cell_rms=rms(diff.coeffs[:, 0]),
+        )
+    return fields
+
+
+_REPORT_SCHEMES = [
+    ("rsv", Scheme.RSV, RuleKind.RADAU_RIGHT),
+    ("rsv", Scheme.RSV, RuleKind.RADAU_LEFT),
+    ("lsv", Scheme.LSV, RuleKind.RADAU_RIGHT),
+    ("dg", Scheme.LSV, RuleKind.RADAU_RIGHT),  # run_single's partition for a DG run
+]
+
+
+def _report_inputs(example, variant, tie_break, k, n, seed):
+    """A perturbed interpolant of the case at t = 0.3 and a DG twin near it."""
+    case = manufactured_case(example)
+    # Uniform even meshes put the zeros of example 1's alpha on breakpoints.
+    mesh = build_mesh(n, 0.0 if n % 2 == 0 else 0.3, seed=seed)
+    coeff = FluxCoefficient(case.alpha, mesh)
+    part = build_partition(mesh, k, variant, coeff, tie_break)
+    u = lambda x: case.u_exact(x, 0.3)
+    u_x = lambda x: case.u_x(x, 0.3)
+    rng = np.random.default_rng(seed)
+    u_h = interpolate(u, part, coeff, InterpKind.AUTO) + PiecewisePoly(
+        mesh, k, 1e-3 * rng.standard_normal((n, k + 1))
+    )
+    u_dg = u_h + PiecewisePoly(mesh, k, 1e-4 * rng.standard_normal((n, k + 1)))
+    return u_h, u, u_x, coeff, part, u_dg
+
+
+@pytest.mark.parametrize("scheme, variant, tie_break", _REPORT_SCHEMES)
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("n", [8, 13])
+@pytest.mark.parametrize("twin", [False, True])
+def test_report_fields_equal_their_definitions(scheme, variant, tie_break, k, n, twin):
+    for example in (1, 2):
+        u_h, u, u_x, coeff, part, u_dg = _report_inputs(example, variant, tie_break, k, n, seed=k + n)
+        u_dg = u_dg if twin else None
+        report = error_report(u_h, u, u_x, coeff, part, scheme=scheme, t_final=0.3, u_dg=u_dg)
+        defined = _defined_fields(u_h, u, u_x, coeff, part, u_dg)
+        assert {name: getattr(report, name) for name in defined} == defined
+        if twin:
+            assert compare_sv_dg(u_h, u_dg, coeff) == (
+                defined["dg_diff_l2"], defined["dg_diff_flux_cell_rms"], defined["dg_diff_cell_rms"]
+            )
+
+
+def test_report_samples_each_point_set_once(monkeypatch):
+    # One AUTO node set; u on the nodes, the Gauss grid, the interfaces, the
+    # extrema and the Linf samples; alpha on the nodes, the grid and the extrema.
+    u_h, u, u_x, coeff, part, u_dg = _report_inputs(1, Scheme.RSV, RuleKind.RADAU_RIGHT, 3, 13, seed=1)
+    calls = {"auto_interp_kinds": 0, "u": 0, "alpha": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (svkit.poly, svkit.metrics):
+        monkeypatch.setattr(module, "auto_interp_kinds", counted("auto_interp_kinds", auto_interp_kinds))
+    monkeypatch.setattr(coeff, "alpha", counted("alpha", coeff.alpha))
+    error_report(u_h, counted("u", u), u_x, coeff, part, scheme="rsv", t_final=0.3, u_dg=u_dg)
+    assert calls == {"auto_interp_kinds": 1, "u": 5, "alpha": 3}
+
+
+def test_metric_fields_are_the_float_fields_in_order():
+    assert ErrorReport.METRIC_FIELDS == (
+        "l2", "linf",
+        "flux_gap_l2", "flux_cell_rms", "flux_node_rms", "flux_iface_rms", "flux_deriv_rms",
+        "gap_l2", "cell_rms", "node_rms", "iface_rms", "extrema_value_rms", "extrema_deriv_rms",
+        "dg_diff_l2", "dg_diff_flux_cell_rms", "dg_diff_cell_rms",
+    )
 
 
 # -- convergence orders ----------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from svkit.cases import manufactured_case
-from svkit.cli import main
+from svkit.cli import _load_config_file, _study_config, build_parser, main
 from svkit.exceptions import InvalidConfigError, SvkitError
 from svkit.metrics import ErrorReport
 from svkit.quadrature import _build_rule
@@ -96,6 +96,18 @@ _BAD_FIELDS = st.one_of(
     st.tuples(st.sampled_from(["t_final", "dt_factor"]),
               st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0])),
 )
+# Wrongly typed values, which only StudyConfig itself receives: a config file
+# would read most of them as text that parses.
+_WRONGLY_TYPED = st.one_of(
+    st.tuples(st.sampled_from(["schemes", "k_values", "n_values"]),
+              st.none() | st.integers() | st.floats() | _WORDS),
+    st.tuples(st.just("tie_break"), st.lists(st.sampled_from(["left", "right"]), min_size=1)),
+    st.tuples(st.sampled_from(["t_final", "dt_factor", "perturbation"]),
+              st.floats(0.01, 0.3).map(str) | st.just([0.1])),
+    st.tuples(st.sampled_from(["dt_factor", "perturbation"]), st.none()),
+    st.tuples(st.just("compare_dg"), st.sampled_from(["no", "yes", 0, 1, None])),
+    st.tuples(st.just("out"), st.integers() | st.just(["table.csv"])),
+)
 _CLI_KEYS = {"schemes": "scheme", "k_values": "k", "n_values": "n"}
 
 
@@ -105,8 +117,8 @@ def _config_text(value) -> str:
     return str(value)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(bad=_BAD_FIELDS)
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(bad=_BAD_FIELDS | _WRONGLY_TYPED)
 def test_random_bad_config_raises_svkit_error(bad):
     field, value = bad
     with pytest.raises(SvkitError):
@@ -124,6 +136,25 @@ def test_random_bad_config_file_exits_with_status_1(bad):
         cfg = Path(tmp) / "study.cfg"
         cfg.write_text(text, encoding="utf-8")
         assert main(["--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tie_break", ["left"]),
+        ("k_values", 3),
+        ("n_values", None),
+        ("schemes", None),
+        ("dt_factor", "0.01"),
+        ("t_final", "1"),
+        ("perturbation", "0.1"),
+        ("compare_dg", "no"),
+        ("out", 3),
+    ],
+)
+def test_config_rejects_wrongly_typed_fields(field, value):
+    with pytest.raises(InvalidConfigError):
+        StudyConfig(**{**_GOOD_FIELDS, field: value})
 
 
 def test_run_study_reports_and_orders():
@@ -251,6 +282,30 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     body = out.read_text(encoding="utf-8")
     assert "rsv," in body and "lsv," not in body
+
+
+def test_cli_leaves_unset_keys_to_study_config():
+    assert _study_config(build_parser().parse_args([]), {}) == StudyConfig()
+
+
+def test_cli_flags_and_config_file_set_the_same_fields(tmp_path):
+    flags = ["--example", "2", "--scheme", "rsv,lsv", "--k", "2,3", "--n", "8,16",
+             "--t-final", "0.5", "--dt-factor", "0.02", "--tie-break", "left", "--perturb", "0.1",
+             "--seed", "4", "--compare-dg", "--format", "md", "--out", "t.md"]
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(
+        "example = 2\nscheme = rsv,lsv\nk = 2,3\nn = 8,16\nt-final = 0.5\ndt_factor = 0.02\n"
+        "tie_break = left\nperturb = 0.1\nseed = 4\ncompare_dg = yes\nformat = md\nout = t.md\n",
+        encoding="utf-8",
+    )
+    expected = StudyConfig(
+        example="2", schemes=("rsv", "lsv"), k_values=(2, 3), n_values=(8, 16), t_final=0.5,
+        dt_factor=0.02, tie_break="left", perturbation=0.1, seed=4, compare_dg=True, fmt="md",
+        out="t.md",
+    )
+    parser = build_parser()
+    assert _study_config(parser.parse_args(flags), {}) == expected
+    assert _study_config(parser.parse_args([]), _load_config_file(str(cfg))) == expected
 
 
 def test_cli_rejects_bad_flags(tmp_path):
