@@ -154,11 +154,8 @@ def _twin_functionals(diff: PiecewisePoly, aq: np.ndarray, sg, wg) -> tuple[floa
     ``aq`` is alpha on the Gauss grid ``sg``; the cell RMS reads the exact mean modes.
     """
     samples = diff.eval_ref(sg)
-    return (
-        _grid_l2(samples, wg, diff.mesh.sizes),
-        _rms(0.5 * ((aq * samples) @ wg)),
-        _rms(diff.coeffs[:, 0]),
-    )
+    flux_cells = 0.5 * ((aq * samples) @ wg)
+    return _grid_l2(samples, wg, diff.mesh.sizes), _rms(flux_cells), _rms(diff.coeffs[:, 0])
 
 
 def compare_sv_dg(
@@ -187,7 +184,15 @@ def error_report(
     reduced from those samples.
     """
     mesh = partition.mesh
+    # Linf and the extrema first: their temporaries are the largest, and few samples are alive yet.
+    linf = broken_norm(u_h, "linf", reference=u)
     dropped = auto_interp_kinds(partition, coeff)
+
+    # Stationary points of the node polynomials.
+    z, s_z = _auto_node_extrema(partition, dropped)
+    dz = np.asarray(u_x(z), dtype=float) - u_h.eval_ref_deriv(s_z)
+    vz = np.asarray(u(z), dtype=float) - u_h.eval_ref(s_z)
+    a_z = np.asarray(coeff.alpha(z), dtype=float)
 
     # Interpolation nodes; the interpolant of u is fitted to the same sample.
     nodes = _nodes_without(partition, dropped)
@@ -207,12 +212,6 @@ def error_report(
     u_if = np.asarray(u(mesh.breakpoints[1:]), dtype=float)
     uhat = np.where(a_if > 0.0, u_h.right_traces(), np.roll(u_h.left_traces(), -1))
 
-    # Stationary points of the node polynomials.
-    z, s_z = _auto_node_extrema(partition, dropped)
-    dz = np.asarray(u_x(z), dtype=float) - u_h.eval_ref_deriv(s_z)
-    vz = np.asarray(u(z), dtype=float) - u_h.eval_ref(s_z)
-    a_z = np.asarray(coeff.alpha(z), dtype=float)
-
     twin = (None, None, None) if u_dg is None else _twin_functionals(u_h - u_dg, aq, sg, wg)
     return ErrorReport(
         scheme=scheme,
@@ -220,7 +219,7 @@ def error_report(
         n=mesh.n_elements,
         t_final=t_final,
         l2=_grid_l2(mismatch, wg, mesh.sizes),
-        linf=broken_norm(u_h, "linf", reference=u),
+        linf=linf,
         flux_gap_l2=_grid_l2(gap_q * aq, wg, mesh.sizes),
         flux_cell_rms=_rms(0.5 * ((aq * mismatch) @ wg)),
         flux_node_rms=_rms(a_nodes * node_mismatch),
