@@ -179,9 +179,9 @@ def error_report(
 ) -> ErrorReport:
     """Assemble the full functional report for one finished run.
 
-    u, u_x, alpha and u_h are sampled once on each point set (the Gauss grid,
-    the interfaces, the AUTO nodes and their extrema); every functional is
-    reduced from those samples.
+    u, u_x, alpha and u_h are sampled once on each point set (the Linf points,
+    the extrema, the AUTO nodes, the Gauss grid and the interfaces); every
+    functional is reduced from those samples.
     """
     mesh = partition.mesh
     # Linf and the extrema first: their temporaries are the largest, and few samples are alive yet.
