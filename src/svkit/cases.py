@@ -100,36 +100,12 @@ class _WaveSource:
         return out
 
 
-def _example1() -> CaseSpec:
-    # alpha = sin x vanishes with simple zeros at 0, pi, 2*pi.
-    def u_t(x, t):
-        return -np.cos(x - t) * _traveling_exp(x, t)
+def _wave_case(case_id, alpha, alpha_dx, factors) -> CaseSpec:
+    """The travelling wave u = exp(sin(x - t)) carried by alpha, with its source.
 
-    def u_x(x, t):
-        return np.cos(x - t) * _traveling_exp(x, t)
-
-    # g = exp(sin(x - t)) * (cos x + (sin x - 1) cos(x - t))
-    source = _WaveSource(lambda sx, cx: (cx, sx - 1.0))
-
-    return CaseSpec(
-        case_id="example1",
-        alpha=np.sin,
-        alpha_dx=np.cos,
-        u_exact=_traveling_exp,
-        u_t=u_t,
-        u_x=u_x,
-        u0=lambda x: np.exp(np.sin(x)),
-        source=source,
-    )
-
-
-def _example2() -> CaseSpec:
-    # alpha = sin^2 x vanishes to second order at 0, pi, 2*pi.
-    def alpha(x):
-        return np.sin(x) ** 2
-
-    def alpha_dx(x):
-        return np.sin(2.0 * x)
+    Substituting u gives g = u * (alpha' + (alpha - 1) cos(x - t)), so
+    ``factors(sx, cx)`` returns (alpha', alpha - 1) for :class:`_WaveSource`.
+    """
 
     def u_t(x, t):
         return -np.cos(x - t) * _traveling_exp(x, t)
@@ -137,18 +113,32 @@ def _example2() -> CaseSpec:
     def u_x(x, t):
         return np.cos(x - t) * _traveling_exp(x, t)
 
-    # g = exp(sin(x - t)) * (sin 2x + (sin^2 x - 1) cos(x - t))
-    source = _WaveSource(lambda sx, cx: (2.0 * sx * cx, sx * sx - 1.0))
-
     return CaseSpec(
-        case_id="example2",
+        case_id=case_id,
         alpha=alpha,
         alpha_dx=alpha_dx,
         u_exact=_traveling_exp,
         u_t=u_t,
         u_x=u_x,
         u0=lambda x: np.exp(np.sin(x)),
-        source=source,
+        source=_WaveSource(factors),
+    )
+
+
+def _example1() -> CaseSpec:
+    # alpha = sin x vanishes with simple zeros at 0, pi, 2*pi.
+    # g = exp(sin(x - t)) * (cos x + (sin x - 1) cos(x - t))
+    return _wave_case("example1", np.sin, np.cos, lambda sx, cx: (cx, sx - 1.0))
+
+
+def _example2() -> CaseSpec:
+    # alpha = sin^2 x vanishes to second order at 0, pi, 2*pi.
+    # g = exp(sin(x - t)) * (sin 2x + (sin^2 x - 1) cos(x - t))
+    return _wave_case(
+        "example2",
+        lambda x: np.sin(x) ** 2,
+        lambda x: np.sin(2.0 * x),
+        lambda sx, cx: (2.0 * sx * cx, sx * sx - 1.0),
     )
 
 

@@ -68,7 +68,7 @@ class StudyConfig:
         self.k_values = tuple(int(k) for k in self.k_values)
         if len(set(self.k_values)) != len(self.k_values):
             raise InvalidConfigError(f"orders must not repeat, got {self.k_values}")
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in self.n_values):
+        if not all(_is_number(n, numbers.Integral) for n in self.n_values):
             raise InvalidConfigError(f"resolutions must be integers, got {self.n_values}")
         self.n_values = tuple(int(n) for n in self.n_values)
         if not (self.schemes and self.k_values and self.n_values):
@@ -77,7 +77,7 @@ class StudyConfig:
             raise InvalidConfigError("all resolutions must satisfy n >= 4")
         if list(self.n_values) != sorted(set(self.n_values)):
             raise InvalidConfigError("resolutions must be strictly increasing")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
             raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.tie_break, str) or self.tie_break not in _TIE_BREAKS:
             raise InvalidConfigError(f"unknown tie break {self.tie_break!r}")
@@ -87,7 +87,7 @@ class StudyConfig:
             raise InvalidConfigError(f"compare_dg must be True or False, got {self.compare_dg!r}")
         if self.out is not None and not isinstance(self.out, (str, Path)):
             raise InvalidConfigError(f"output path must be a string, got {self.out!r}")
-        if not isinstance(self.perturbation, numbers.Real):
+        if not _is_number(self.perturbation):
             raise InvalidConfigError(f"perturbation must be a number, got {self.perturbation!r}")
         # Checked here, before any job runs: a NaN or infinite time would only
         # surface mid-study, or not at all (dt = inf is one step of size T).
@@ -97,8 +97,13 @@ class StudyConfig:
             raise InvalidConfigError(f"final time must be finite and positive, got {self.t_final}")
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    # numbers counts a bool as an integer: dt_factor=True would run dt = 1/n.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _finite_positive(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+    return _is_number(value) and math.isfinite(value) and value > 0
 
 
 @dataclass

@@ -13,6 +13,9 @@ last, so every product is a contraction whose innermost loop runs over the
 elements; an element-stacked ``np.matmul`` would instead make one small BLAS
 call per element.  A stencil is a C-contiguous (k+1, 3(k+1), N) array whose
 columns are ordered (mode, side), side running over [i-1, i, i+1].
+
+This operator and the DG one of :mod:`svkit.dg` build only their stencils and
+source projections; :class:`AffineOperator` applies both.
 """
 
 from __future__ import annotations
@@ -95,19 +98,6 @@ def _cv_matrix(kind: RuleKind, k: int) -> ControlVolumeMatrix:
 # -- block stencils: du/dt = A u + s(t), with A coupling each element to its two neighbours
 
 
-def neighbour_gather(n: int, k: int) -> np.ndarray:
-    """(3(k+1), n) flat indices of [c_{i-1}, c_i, c_{i+1}] in a C-ordered (n, k+1) array, read-only.
-
-    Row 3m + s holds mode m of element i - 1 + s on the periodic mesh: the
-    (mode, side) column order of the stencils.
-    """
-    i = np.arange(n)
-    nbr = np.stack([(i - 1) % n, i, (i + 1) % n])  # (3, n)
-    gather = (nbr * (k + 1) + np.arange(k + 1)[:, None, None]).reshape(3 * (k + 1), n)
-    gather.setflags(write=False)
-    return gather
-
-
 def upwind_weights(coeff: FluxCoefficient) -> np.ndarray:
     """(N, 4) upwind parts of alpha at each element's left, then right, interface.
 
@@ -139,17 +129,6 @@ def trace_rows(k: int) -> np.ndarray:
     return rows
 
 
-def apply_stencil(stencil: np.ndarray, gather: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(N, k+1) product of a (k+1, 3(k+1), N) block stencil with the neighbours' coefficients.
-
-    With the index of :func:`neighbour_gather`, one flat take of ``c`` yields
-    the neighbours ordered (mode, side, element), so the product is one
-    contraction over the middle axis with the elements innermost, then one
-    contiguous copy of the transpose.
-    """
-    return np.ascontiguousarray(np.einsum("ijn,jn->in", stencil, c.take(gather)).T)
-
-
 @lru_cache(maxsize=None)
 def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
     """((k+1) * 3(k+1), k+4) reference stencils of one rule kind, per unit weight, read-only.
@@ -175,13 +154,68 @@ def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
     return patterns_t
 
 
-class SVOperator:
+class AffineOperator:
+    """du/dt = A u + s(t) on a fixed mesh: an element-last block stencil A and a memoised source s.
+
+    The spectral-volume and DG operators differ only in the (k+1, 3(k+1), N)
+    ``stencil`` and in how the source g is projected onto each element, so
+    each builds those arrays and hands them here.  g is sampled on frozen
+    (J, Q, N) ``nodes``, each row j is summed against its (J, Q, N)
+    ``weights``, and the (J, N) sums are mapped to modal coefficients by the
+    per-element (k+1, J, N) ``source_map``.
+    """
+
+    def __init__(self, mesh, k, stencil, source=None, nodes=None, weights=None, source_map=None):
+        self.mesh = mesh
+        self.k = k
+        self.source = source
+        stencil.setflags(write=False)
+        self._stencil = stencil
+        # Row 3m + s of the gather holds the flat index in c of mode m of
+        # element i - 1 + s on the periodic mesh: the stencil's column order.
+        n = mesh.n_elements
+        i = np.arange(n)
+        nbr = np.stack([(i - 1) % n, i, (i + 1) % n])  # (3, N)
+        self._gather = (nbr * (k + 1) + np.arange(k + 1)[:, None, None]).reshape(3 * (k + 1), n)
+        self._gather.setflags(write=False)
+        if source is not None:
+            nodes.setflags(write=False)  # lets a source memoise per-node factors
+            self._src_x = nodes
+            self._src_w = weights
+            self._src_map = source_map
+            self._src_memo: tuple[float, np.ndarray] | None = None
+
+    def _source_term(self, t: float) -> np.ndarray:
+        """(N, k+1) source term at time t; the last one is kept, as RK4 asks for each t twice."""
+        if self._src_memo is not None and self._src_memo[0] == t:
+            return self._src_memo[1]
+        g = np.asarray(self.source(self._src_x, t), dtype=float)
+        sums = np.einsum("jqn,jqn->jn", g, self._src_w)
+        term = np.ascontiguousarray(np.einsum("ijn,jn->in", self._src_map, sums).T)
+        self._src_memo = (t, term)
+        return term
+
+    def apply(self, c: np.ndarray, t: float) -> np.ndarray:
+        """(N, k+1) coefficients of A c + s(t) for the (N, k+1) coefficients c.
+
+        One flat take of ``c`` yields the neighbours ordered (mode, side,
+        element), so A c is one contraction over the middle axis with the
+        elements innermost, then one contiguous copy of the transpose.
+        """
+        out = np.ascontiguousarray(np.einsum("ijn,jn->in", self._stencil, c.take(self._gather)).T)
+        if self.source is not None:
+            out += self._source_term(t)
+        return out
+
+
+class SVOperator(AffineOperator):
     """Precomputed spectral-volume right-hand side for a fixed partition.
 
     The constructor folds the upwind interface fluxes, the interior-face
     fluxes and each element's control-volume inverse into one element-last
     block stencil, so a call is one neighbour gather and one contraction
-    whatever the elements' rule kinds.
+    whatever the elements' rule kinds.  The source is integrated over each
+    control volume and mapped by the CV inverse.
     """
 
     def __init__(
@@ -195,14 +229,10 @@ class SVOperator:
             raise InvalidConfigError("config order does not match partition order")
         if config.variant is not partition.scheme:
             raise InvalidConfigError("config variant does not match partition scheme")
-        self.source = source
 
         mesh = partition.mesh
         k = config.k
         n = mesh.n_elements
-        self._mesh = mesh
-        self._k = k
-        self._gather = neighbour_gather(n, k)
 
         # Each element's stencil is its rule's patterns times its weights,
         # times 2/h; the reference CV inverse, times 2/h, maps the source.
@@ -218,9 +248,8 @@ class SVOperator:
         for code in others:
             stencil += _sv_patterns(RULE_KINDS[code], k) @ (weights.T * (codes == code))
         stencil = stencil.reshape(k + 1, 3 * (k + 1), n)
-        stencil.setflags(write=False)
-        self._stencil = stencil
 
+        x = w = cv_inv = None
         if source is not None:
             sg, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
             sp = np.ascontiguousarray(partition.subpoints.T)  # (k+2, N)
@@ -228,27 +257,13 @@ class SVOperator:
             half = 0.5 * (sp[1:] - sp[:-1])[:, None, :]       # (k+1, 1, N)
             # A fresh C-contiguous array: strided nodes slow every source
             # evaluation, and a source memoises only arrays that own their data.
-            self._src_x = mid + half * sg[:, None]            # (k+1, q, N)
-            self._src_x.setflags(write=False)  # lets a source memoise per-node factors
-            self._src_w = half * wg[:, None]                  # (k+1, q, N)
+            x = mid + half * sg[:, None]                      # (k+1, q, N)
+            w = half * wg[:, None]                            # (k+1, q, N)
             inverses = np.stack([_cv_matrix(kind, k).inverse for kind in RULE_KINDS], axis=-1)
             # take, unlike [:, :, codes], keeps the elements innermost for the source map.
-            self._cv_inv = inverses.take(codes, axis=2)  # (k+1, k+1, N)
-            self._cv_inv *= 2.0 / mesh.sizes
-            self._src_memo: tuple[float, np.ndarray] | None = None
-
-    def _source_coeffs(self, t: float) -> np.ndarray:
-        """CV source integrals at time t, mapped to (N, k+1) modal coefficients."""
-        if self._src_memo is not None and self._src_memo[0] == t:
-            return self._src_memo[1]
-        g = np.asarray(self.source(self._src_x, t), dtype=float)
-        cv = np.einsum("jqn,jqn->jn", g, self._src_w)
-        mapped = np.ascontiguousarray(np.einsum("ijn,jn->in", self._cv_inv, cv).T)
-        self._src_memo = (t, mapped)
-        return mapped
+            cv_inv = inverses.take(codes, axis=2)  # (k+1, k+1, N)
+            cv_inv *= 2.0 / mesh.sizes
+        super().__init__(mesh, k, stencil, source, x, w, cv_inv)
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
-        out = apply_stencil(self._stencil, self._gather, u.coeffs)
-        if self.source is not None:
-            out += self._source_coeffs(t)
-        return PiecewisePoly(self._mesh, self._k, out)
+        return PiecewisePoly(self.mesh, self.k, self.apply(u.coeffs, t))

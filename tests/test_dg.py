@@ -140,22 +140,6 @@ def test_stacked_operator_matches_term_by_term(n, jitter, seed, k, shift, with_s
     assert np.max(np.abs(out - ref)) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
-def test_source_node_memo_matches_fresh_evaluation(k):
-    case = manufactured_case(1)
-    mesh = build_mesh(8, 0.3, seed=k)
-    coeff = FluxCoefficient(case.alpha, mesh)
-    part = build_partition(mesh, k, Scheme.LSV, coeff)
-    op = DGOperator(mesh, k, coeff, case.source)
-    assert not op._x_quad.flags.writeable
-    # a fresh writable copy of x defeats the source's node-factor memo
-    fresh = DGOperator(mesh, k, coeff, lambda x, t: case.source(np.array(x), t))
-    u0 = interpolate(case.u0, part, coeff, InterpKind.AUTO)
-    got = integrate_to(u0, 0.0, 0.05, 0.01 / 8, op).coeffs
-    ref = integrate_to(u0, 0.0, 0.05, 0.01 / 8, fresh).coeffs
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
 @pytest.mark.parametrize("warm", [False, True])
 def test_non_integer_order_rejected(warm):
     mesh = build_mesh(6)

@@ -150,6 +150,10 @@ def test_random_bad_config_file_exits_with_status_1(bad):
         ("perturbation", "0.1"),
         ("compare_dg", "no"),
         ("out", 3),
+        ("seed", True),
+        ("dt_factor", True),
+        ("perturbation", True),
+        ("t_final", True),
     ],
 )
 def test_config_rejects_wrongly_typed_fields(field, value):

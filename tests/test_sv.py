@@ -19,7 +19,6 @@ from svkit.sv import (
     SchemeConfig,
     SVOperator,
     _sv_patterns,
-    apply_stencil,
     cv_matrix,
     upwind_weights,
 )
@@ -395,22 +394,28 @@ def test_zeros_on_breakpoints(mesh_coeff, k, scheme, seed):
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
 
 
-@pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
+@pytest.mark.parametrize("scheme", ["rsv", "lsv", "dg"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_source_node_memo_matches_fresh_evaluation(scheme, k):
     case = manufactured_case(1)
     mesh = build_mesh(8, 0.3, seed=k)
     coeff = FluxCoefficient(case.alpha, mesh)
-    part = build_partition(mesh, k, scheme, coeff)
-    config = SchemeConfig(k, scheme)
-    op = SVOperator(config, part, coeff, case.source)
+    part = build_partition(mesh, k, Scheme.LSV if scheme == "dg" else Scheme(scheme), coeff)
+
+    def build(source):
+        if scheme == "dg":
+            return DGOperator(mesh, k, coeff, source)
+        return SVOperator(SchemeConfig(k, part.scheme), part, coeff, source)
+
+    op = build(case.source)
     # The source memo keeps only read-only owners; a strided array is slow.
     assert not op._src_x.flags.writeable
     assert op._src_x.flags.owndata
     assert op._src_x.flags.c_contiguous
     # a fresh writable copy of x defeats the source's node-factor memo
-    fresh = SVOperator(config, part, coeff, lambda x, t: case.source(np.array(x), t))
+    fresh = build(lambda x, t: case.source(np.array(x), t))
     u0 = interpolate(case.u0, part, coeff, InterpKind.AUTO)
+    assert np.array_equal(op.apply(u0.coeffs, 0.3), op(u0, 0.3).coeffs)
     got = integrate_to(u0, 0.0, 0.05, 0.01 / 8, op).coeffs
     ref = integrate_to(u0, 0.0, 0.05, 0.01 / 8, fresh).coeffs
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -446,7 +451,7 @@ def test_apply_stencil_matches_element_stacked_matmul(n, jitter, seed, k, scheme
     assert op._stencil.flags.c_contiguous and not op._stencil.flags.writeable
     c = np.random.default_rng(seed).standard_normal((n, k + 1))
 
-    out = apply_stencil(op._stencil, op._gather, c)
+    out = op.apply(c, 0.0)
     stacked = _element_stacked(op._stencil)
     i = np.arange(n)
     gathered = c[np.stack([(i - 1) % n, i, (i + 1) % n], axis=1)].reshape(n, -1, 1)
@@ -509,8 +514,8 @@ def test_source_map_matches_element_stacked_reference(example, scheme, k):
     cv_inv *= (2.0 / mesh.sizes)[:, None, None]
     ref = np.matmul(cv_inv, cv[..., None])[..., 0]
 
-    got = op._source_coeffs(t)
+    got = op._source_term(t)
     scale = np.matmul(np.abs(cv_inv), np.abs(cv)[..., None])[..., 0]
-    assert op._cv_inv.flags.c_contiguous
+    assert op._src_map.flags.c_contiguous
     assert got.shape == (13, k + 1) and got.flags.c_contiguous
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
