@@ -24,8 +24,8 @@ class DGOperator(AffineOperator):
 
     The constructor folds the volume term, the two upwind interface traces and
     the inverse mass matrix into one element-last block stencil, so a call is
-    one neighbour gather and one contraction.  The source is projected with the
-    volume term's Gauss rule.
+    one neighbour gather and one contraction (on a small mesh, one dense
+    product).  The source is projected with the volume term's Gauss rule.
     """
 
     def __init__(self, mesh: Mesh1D, k: int, coeff: FluxCoefficient, source=None):
@@ -38,9 +38,9 @@ class DGOperator(AffineOperator):
         wd = wg[:, None] * dbasis                        # rows weighted by w_q
         alt = (-1.0) ** np.arange(k + 1)
 
-        # (q, 1, N), a fresh array: a source memoises only arrays that own their data.
-        x = mesh.centers + 0.5 * mesh.sizes * sg[:, None, None]
-        a_quad = np.asarray(coeff.alpha(x), dtype=float).reshape(q, n).T
+        # (q, N), a fresh array: a source memoises only arrays that own their data.
+        x = mesh.centers + 0.5 * mesh.sizes * sg[:, None]
+        a_quad = np.asarray(coeff.alpha(x), dtype=float).T
         mode_scale = 2.0 * np.arange(k + 1) + 1.0  # inverse mass matrix, times h
 
         # Row m of an element's stencil is (2m+1)/h times: the left-interface
@@ -58,13 +58,11 @@ class DGOperator(AffineOperator):
         weights = np.column_stack([upwind_weights(coeff), a_quad]) / mesh.sizes[:, None]
         stencil = (patterns.reshape(4 + q, -1).T @ weights.T).reshape(k + 1, 3 * (k + 1), n)
 
-        w = projection = None
-        if source is not None:
-            # Source moments are the inverse mass (2m+1)/h times the element's
-            # quadrature (h/2) sum_j w_j g(x_j) L_m(s_j).
-            w = 0.5 * mesh.sizes * wg[:, None, None]                      # (q, 1, N)
-            projection = (mode_scale[:, None] * basis.T)[..., None] / mesh.sizes  # (k+1, q, N)
-        super().__init__(mesh, k, stencil, source, x, w, projection)
+        # Source moments are the inverse mass (2m+1)/h times the element's
+        # quadrature (h/2) sum_j w_j g(x_j) L_m(s_j); h cancels, so one
+        # (q, k+1) map serves every element.
+        projection = (wg[:, None] * basis) * (0.5 * mode_scale)
+        super().__init__(mesh, k, stencil, source, x, source_map=projection)
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
         return PiecewisePoly(self.mesh, self.k, self.apply(u.coeffs, t))

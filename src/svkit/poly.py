@@ -13,6 +13,7 @@ average is the zeroth coefficient.  The module also provides
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -36,7 +37,9 @@ class PiecewisePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        # RK4 builds 17 of these a step, nearly all from fresh float64 arrays.
+        if type(self.coeffs) is not np.ndarray or self.coeffs.dtype != np.float64:
+            self.coeffs = np.asarray(self.coeffs, dtype=float)
         expected = (self.mesh.n_elements, self.k + 1)
         if self.coeffs.shape != expected:
             raise ValueError(f"coefficient array must have shape {expected}")
@@ -131,17 +134,21 @@ class PiecewisePoly:
     def __add__(self, other):
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        self._check_compatible(other)
+        if other.mesh is not self.mesh or other.k != self.k:
+            self._check_compatible(other)
         return self._like(self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
-        self._check_compatible(other)
+        if other.mesh is not self.mesh or other.k != self.k:
+            self._check_compatible(other)
         return self._like(self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        if not np.isscalar(scalar):
+        if type(scalar) is float:
+            return self._like(self.coeffs * scalar)
+        if not isinstance(scalar, numbers.Real):
             return NotImplemented
         return self._like(self.coeffs * float(scalar))
 

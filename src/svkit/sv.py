@@ -15,7 +15,8 @@ call per element.  A stencil is a C-contiguous (k+1, 3(k+1), N) array whose
 columns are ordered (mode, side), side running over [i-1, i, i+1].
 
 This operator and the DG one of :mod:`svkit.dg` build only their stencils and
-source projections; :class:`AffineOperator` applies both.
+source projections; :class:`AffineOperator` applies both.  On a small mesh it
+applies A as one dense matrix assembled from the stencil.
 """
 
 from __future__ import annotations
@@ -154,15 +155,50 @@ def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
     return patterns_t
 
 
+# The largest M = N(k+1) at which A is applied as one dense (M, M) matrix.  On
+# small meshes a call is NumPy overhead, not flops, and one matrix-vector
+# product costs less than the gather, the contraction and the transposed copy;
+# the M^2 product catches up near M = 150-190 and loses from there.  In
+# BENCH_dense_apply.json (scripts/time_apply.py, one thread) the dense path
+# took at most 0.70 of the stencil path's time at every grid point with
+# M <= 128, 0.975 at M = 144 (k = 2) and up to 1.34 at M = 192.
+_DENSE_MAX_UNKNOWNS = 128
+
+
+def _dense_matrix(stencil: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """(M, M) matrix of the element-last ``stencil`` over the flat coefficients, read-only.
+
+    Entry (i(k+1) + m, gather[j, i]) is stencil[m, j, i].  With fewer than
+    three elements a neighbour is also the element itself or its other
+    neighbour, so those entries alias and are summed.
+    """
+    m, _, n = stencil.shape
+    rows = (np.arange(n) * m + np.arange(m)[:, None])[:, None, :]  # (k+1, 1, N)
+    cols = gather[None]                                             # (1, 3(k+1), N)
+    dense = np.zeros((n * m, n * m))
+    if n >= 3:
+        dense[rows, cols] = stencil
+    else:
+        np.add.at(dense, (rows, cols), stencil)
+    dense.setflags(write=False)
+    return dense
+
+
 class AffineOperator:
     """du/dt = A u + s(t) on a fixed mesh: an element-last block stencil A and a memoised source s.
 
     The spectral-volume and DG operators differ only in the (k+1, 3(k+1), N)
     ``stencil`` and in how the source g is projected onto each element, so
     each builds those arrays and hands them here.  g is sampled on frozen
-    (J, Q, N) ``nodes``, each row j is summed against its (J, Q, N)
-    ``weights``, and the (J, N) sums are mapped to modal coefficients by the
-    per-element (k+1, J, N) ``source_map``.
+    ``nodes``.  With (J, Q, N) nodes and ``weights``, each row j is summed
+    against its weights and the (J, N) sums are mapped to modal coefficients
+    by the per-element (k+1, J, N) ``source_map``.  Without weights the nodes
+    are (J, N) and the map is one (J, k+1) matrix shared by every element, so
+    the term is g^T times the map.
+
+    The stencil defines A.  On meshes with at most ``_DENSE_MAX_UNKNOWNS``
+    unknowns N(k+1) the constructor also assembles A as one dense matrix from
+    it, and :meth:`apply` multiplies by that instead.
     """
 
     def __init__(self, mesh, k, stencil, source=None, nodes=None, weights=None, source_map=None):
@@ -178,6 +214,9 @@ class AffineOperator:
         nbr = np.stack([(i - 1) % n, i, (i + 1) % n])  # (3, N)
         self._gather = (nbr * (k + 1) + np.arange(k + 1)[:, None, None]).reshape(3 * (k + 1), n)
         self._gather.setflags(write=False)
+        self._dense = None
+        if n * (k + 1) <= _DENSE_MAX_UNKNOWNS:
+            self._dense = _dense_matrix(stencil, self._gather)
         if source is not None:
             nodes.setflags(write=False)  # lets a source memoise per-node factors
             self._src_x = nodes
@@ -190,19 +229,28 @@ class AffineOperator:
         if self._src_memo is not None and self._src_memo[0] == t:
             return self._src_memo[1]
         g = np.asarray(self.source(self._src_x, t), dtype=float)
-        sums = np.einsum("jqn,jqn->jn", g, self._src_w)
-        term = np.ascontiguousarray(np.einsum("ijn,jn->in", self._src_map, sums).T)
+        if self._src_w is None:
+            term = g.T @ self._src_map
+        else:
+            sums = np.einsum("jqn,jqn->jn", g, self._src_w)
+            term = np.ascontiguousarray(np.einsum("ijn,jn->in", self._src_map, sums).T)
         self._src_memo = (t, term)
         return term
 
     def apply(self, c: np.ndarray, t: float) -> np.ndarray:
         """(N, k+1) coefficients of A c + s(t) for the (N, k+1) coefficients c.
 
-        One flat take of ``c`` yields the neighbours ordered (mode, side,
-        element), so A c is one contraction over the middle axis with the
-        elements innermost, then one contiguous copy of the transpose.
+        Two paths, one A.  On a small mesh, one product of the dense matrix
+        with the flattened c.  Otherwise one flat take of ``c`` yields the
+        neighbours ordered (mode, side, element), so A c is one contraction
+        over the middle axis with the elements innermost, then one contiguous
+        copy of the transpose.
         """
-        out = np.ascontiguousarray(np.einsum("ijn,jn->in", self._stencil, c.take(self._gather)).T)
+        if self._dense is not None:
+            out = (self._dense @ c.ravel()).reshape(c.shape)
+        else:
+            gathered = c.take(self._gather)
+            out = np.ascontiguousarray(np.einsum("ijn,jn->in", self._stencil, gathered).T)
         if self.source is not None:
             out += self._source_term(t)
         return out
@@ -214,7 +262,7 @@ class SVOperator(AffineOperator):
     The constructor folds the upwind interface fluxes, the interior-face
     fluxes and each element's control-volume inverse into one element-last
     block stencil, so a call is one neighbour gather and one contraction
-    whatever the elements' rule kinds.  The source is integrated over each
+    (on a small mesh, one dense product) whatever the elements' rule kinds.  The source is integrated over each
     control volume and mapped by the CV inverse.
     """
 

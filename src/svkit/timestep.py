@@ -17,17 +17,18 @@ from .poly import PiecewisePoly
 
 def _all_finite(state) -> bool:
     if isinstance(state, PiecewisePoly):
-        return bool(np.all(np.isfinite(state.coeffs)))
-    return bool(np.all(np.isfinite(state)))
+        return bool(np.isfinite(state.coeffs).all())
+    return bool(np.isfinite(state).all())
 
 
 def rk4_step(u, t: float, dt: float, rhs):
     """One classical RK4 step: stages at t, t+dt/2, t+dt/2, t+dt."""
     if dt <= 0.0:
         raise InvalidConfigError(f"time step must be positive, got {dt}")
+    half, t_half = 0.5 * dt, t + 0.5 * dt
     k1 = rhs(u, t)
-    k2 = rhs(u + (0.5 * dt) * k1, t + 0.5 * dt)
-    k3 = rhs(u + (0.5 * dt) * k2, t + 0.5 * dt)
+    k2 = rhs(u + half * k1, t_half)
+    k3 = rhs(u + half * k2, t_half)
     k4 = rhs(u + dt * k3, t + dt)
     out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not _all_finite(out):

@@ -82,6 +82,57 @@ def test_traces_match_eval():
         )
 
 
+# -- arithmetic ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scalar", [2.5, 3, np.float64(2.5), np.int64(3), np.float32(0.5), True])
+def test_scalar_multiplication_accepts_real_numbers(scalar):
+    u = _random_poly(build_mesh(4), 2, seed=1)
+    expected = u.coeffs * float(scalar)
+    for product in (u * scalar, scalar * u):
+        assert isinstance(product, PiecewisePoly)
+        assert product.coeffs.dtype == np.float64
+        np.testing.assert_array_equal(product.coeffs, expected)
+
+
+@pytest.mark.parametrize("scalar", ["2", "x", 1j, None])
+def test_scalar_multiplication_rejects_non_real_operands(scalar):
+    u = _random_poly(build_mesh(4), 2, seed=1)
+    assert u.__mul__(scalar) is NotImplemented
+    with pytest.raises(TypeError):
+        u * scalar
+    with pytest.raises(TypeError):
+        scalar * u
+
+
+def test_sum_and_difference_check_mesh_and_degree():
+    mesh = build_mesh(5, 0.2, seed=1)
+    u = _random_poly(mesh, 2, seed=1)
+    twin_mesh = build_mesh(5, 0.2, seed=1)  # equal breakpoints, another object
+    v = _random_poly(twin_mesh, 2, seed=2)
+    np.testing.assert_array_equal((u + v).coeffs, u.coeffs + v.coeffs)
+    np.testing.assert_array_equal((u - v).coeffs, u.coeffs - v.coeffs)
+    other_mesh = _random_poly(build_mesh(5, 0.2, seed=2), 2, seed=3)
+    other_degree = PiecewisePoly(mesh, 1, np.zeros((5, 2)))
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="different meshes"):
+            op(u, other_mesh)
+        with pytest.raises(ValueError, match="different degrees"):
+            op(u, other_degree)
+
+
+def test_construction_converts_to_float64_and_keeps_float64_arrays():
+    mesh = build_mesh(3)
+    coeffs = np.ones((3, 2))
+    assert PiecewisePoly(mesh, 1, coeffs).coeffs is coeffs
+    for raw in ([[1, 2], [3, 4], [5, 6]], np.arange(6).reshape(3, 2), np.ones((3, 2), np.float32)):
+        u = PiecewisePoly(mesh, 1, raw)
+        assert type(u.coeffs) is np.ndarray and u.coeffs.dtype == np.float64
+        np.testing.assert_array_equal(u.coeffs, np.asarray(raw, dtype=float))
+    with pytest.raises(ValueError, match="shape"):
+        PiecewisePoly(mesh, 2, coeffs)
+
+
 # -- interpolation ------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from svkit.poly import (
 )
 from svkit.quadrature import RULE_KINDS, RuleKind, gauss_panel, integrate_panel, make_rule
 from svkit.sv import (
+    _DENSE_MAX_UNKNOWNS,
     SOURCE_QUAD_EXTRA,
     SchemeConfig,
     SVOperator,
+    _dense_matrix,
     _sv_patterns,
     cv_matrix,
     upwind_weights,
@@ -519,3 +523,100 @@ def test_source_map_matches_element_stacked_reference(example, scheme, k):
     assert op._src_map.flags.c_contiguous
     assert got.shape == (13, k + 1) and got.flags.c_contiguous
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+# -- dense apply on small meshes against the stencil that defines it ---------------
+
+
+def _case_operator(scheme, example, n, k, jitter, seed, with_source):
+    case = manufactured_case(example)
+    mesh = build_mesh(n, jitter, seed=seed)
+    coeff = FluxCoefficient(case.alpha, mesh)
+    source = case.source if with_source else None
+    if scheme == "dg":
+        part = build_partition(mesh, k, Scheme.LSV, coeff)
+        return DGOperator(mesh, k, coeff, source), part, coeff, case
+    variant = Scheme(scheme)
+    part = build_partition(mesh, k, variant, coeff)
+    return SVOperator(SchemeConfig(k, variant), part, coeff, source), part, coeff, case
+
+
+def _with_path(op, dense):
+    """A shallow copy of op that applies its dense matrix (True) or its stencil (False)."""
+    twin = copy.copy(op)
+    twin._dense = _dense_matrix(op._stencil, op._gather) if dense else None
+    return twin
+
+
+def _assert_paths_match_stencil_definition(op, seed):
+    n, k = op.mesh.n_elements, op.k
+    c = np.random.default_rng(seed).standard_normal((n, k + 1))
+    t = 0.3
+    stacked = _element_stacked(op._stencil)
+    i = np.arange(n)
+    gathered = c[np.stack([(i - 1) % n, i, (i + 1) % n], axis=1)].reshape(n, -1, 1)
+    src = op._source_term(t) if op.source is not None else np.zeros((n, k + 1))
+    ref = np.matmul(stacked, gathered)[..., 0] + src
+    bound = 1e-14 * (np.matmul(np.abs(stacked), np.abs(gathered))[..., 0] + np.abs(src))
+    dense, stencil = _with_path(op, True).apply(c, t), _with_path(op, False).apply(c, t)
+    for out in (dense, stencil):
+        assert out.shape == (n, k + 1) and out.flags.c_contiguous
+        assert np.all(np.abs(out - ref) <= bound)
+    # The operator takes the dense path exactly at or below the switch.
+    assert np.array_equal(op.apply(c, t), dense if n * (k + 1) <= _DENSE_MAX_UNKNOWNS else stencil)
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+@pytest.mark.parametrize("scheme", ["rsv", "lsv", "dg"])
+@pytest.mark.parametrize("k", range(1, 13))
+@pytest.mark.parametrize("n", [2, 3])
+def test_dense_apply_matches_stencil_with_aliased_neighbours(n, k, scheme, with_source):
+    # n = 2: the left and right neighbours are one element; n = 3: all three differ.
+    op, *_ = _case_operator(scheme, 1, n, k, 0.3, n + k, with_source)
+    _assert_paths_match_stencil_definition(op, seed=n * 100 + k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 48),
+    k=st.integers(1, 12),
+    scheme=st.sampled_from(["rsv", "lsv", "dg"]),
+    example=st.sampled_from([1, 2]),
+    with_source=st.booleans(),
+    jitter=st.floats(0.0, 0.35),
+    seed=st.integers(0, 2**16),
+)
+def test_dense_apply_matches_stencil_on_random_meshes(n, k, scheme, example, with_source, jitter, seed):
+    op, *_ = _case_operator(scheme, example, n, k, jitter, seed, with_source)
+    _assert_paths_match_stencil_definition(op, seed)
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("scheme", ["rsv", "lsv", "dg"])
+def test_integrate_to_on_dense_path_matches_stencil_path(scheme, k, with_source):
+    op, part, coeff, case = _case_operator(scheme, 1, 8, k, 0.2, k, with_source)
+    assert op._dense is not None
+    u0 = interpolate(case.u0, part, coeff, InterpKind.AUTO)
+    got = integrate_to(u0, 0.0, 0.05, 0.01 / 8, op).coeffs
+    ref = integrate_to(u0, 0.0, 0.05, 0.01 / 8, _with_path(op, False)).coeffs
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("scheme", ["rsv", "lsv", "dg"])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_dense_matrix_is_read_only_and_only_on_small_meshes(scheme, k):
+    largest = _DENSE_MAX_UNKNOWNS // (k + 1)  # elements of the largest dense mesh
+    for n in (2, 3, largest, largest + 1):
+        op, *_ = _case_operator(scheme, 1, n, k, 0.2, n, False)
+        size = n * (k + 1)
+        if size > _DENSE_MAX_UNKNOWNS:
+            assert op._dense is None
+            continue
+        assert op._dense.shape == (size, size)
+        assert not op._dense.flags.writeable
+        # Column j is A applied to the j-th unit vector by the stencil path.
+        stencil = _with_path(op, False)
+        units = np.eye(size)
+        columns = [stencil.apply(e.reshape(n, k + 1), 0.0).ravel() for e in units]
+        assert np.array_equal(op._dense, np.column_stack(columns))
