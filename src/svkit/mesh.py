@@ -16,6 +16,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,7 @@ class Mesh1D:
         bp.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
 
-    @property
+    @cached_property  # the breakpoints are read-only; every PiecewisePoly checks this
     def n_elements(self) -> int:
         return self.breakpoints.size - 1
 

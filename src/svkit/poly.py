@@ -25,10 +25,11 @@ from .mesh import DOMAIN_LENGTH, FluxCoefficient, Mesh1D, Partition
 from .quadrature import gauss_panel, legendre_basis, legendre_basis_deriv
 
 _BREAKPOINT_TOL = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 LINF_SAMPLES = 21
 
 
-@dataclass
+@dataclass(init=False)
 class PiecewisePoly:
     """Piecewise polynomial of degree k with Legendre modal coefficients (N, k+1)."""
 
@@ -36,13 +37,18 @@ class PiecewisePoly:
     k: int
     coeffs: np.ndarray
 
-    def __post_init__(self):
-        # RK4 builds 17 of these a step, nearly all from fresh float64 arrays.
-        if type(self.coeffs) is not np.ndarray or self.coeffs.dtype != np.float64:
-            self.coeffs = np.asarray(self.coeffs, dtype=float)
-        expected = (self.mesh.n_elements, self.k + 1)
-        if self.coeffs.shape != expected:
+    def __init__(self, mesh: Mesh1D, k: int, coeffs):
+        # RK4 builds 17 of these a step, nearly all from fresh float64 arrays,
+        # so those skip the conversion (any other float64 dtype object merely
+        # takes it, and np.asarray returns such an array as it is).
+        if type(coeffs) is not np.ndarray or coeffs.dtype is not _FLOAT64:
+            coeffs = np.asarray(coeffs, dtype=float)
+        expected = (mesh.n_elements, k + 1)
+        if coeffs.shape != expected:
             raise ValueError(f"coefficient array must have shape {expected}")
+        self.mesh = mesh
+        self.k = k
+        self.coeffs = coeffs
 
     @classmethod
     def zeros(cls, mesh: Mesh1D, k: int) -> "PiecewisePoly":
@@ -120,9 +126,6 @@ class PiecewisePoly:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _like(self, coeffs: np.ndarray) -> "PiecewisePoly":
-        return PiecewisePoly(self.mesh, self.k, coeffs)
-
     def _check_compatible(self, other: "PiecewisePoly"):
         if other.mesh is not self.mesh and not np.array_equal(
             other.mesh.breakpoints, self.mesh.breakpoints
@@ -136,26 +139,26 @@ class PiecewisePoly:
             return NotImplemented
         if other.mesh is not self.mesh or other.k != self.k:
             self._check_compatible(other)
-        return self._like(self.coeffs + other.coeffs)
+        return PiecewisePoly(self.mesh, self.k, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, PiecewisePoly):
             return NotImplemented
         if other.mesh is not self.mesh or other.k != self.k:
             self._check_compatible(other)
-        return self._like(self.coeffs - other.coeffs)
+        return PiecewisePoly(self.mesh, self.k, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
         if type(scalar) is float:
-            return self._like(self.coeffs * scalar)
+            return PiecewisePoly(self.mesh, self.k, self.coeffs * scalar)
         if not isinstance(scalar, numbers.Real):
             return NotImplemented
-        return self._like(self.coeffs * float(scalar))
+        return PiecewisePoly(self.mesh, self.k, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._like(-self.coeffs)
+        return PiecewisePoly(self.mesh, self.k, -self.coeffs)
 
 
 def cell_averages(u: PiecewisePoly) -> np.ndarray:

@@ -158,10 +158,10 @@ def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
 # The largest M = N(k+1) at which A is applied as one dense (M, M) matrix.  On
 # small meshes a call is NumPy overhead, not flops, and one matrix-vector
 # product costs less than the gather, the contraction and the transposed copy;
-# the M^2 product catches up near M = 150-190 and loses from there.  In
-# BENCH_dense_apply.json (scripts/time_apply.py, one thread) the dense path
-# took at most 0.70 of the stencil path's time at every grid point with
-# M <= 128, 0.975 at M = 144 (k = 2) and up to 1.34 at M = 192.
+# the M^2 product catches up as M grows.  In BENCH_dense_apply.json
+# (scripts/time_apply.py, one thread) the dense path took at most 0.57 of the
+# stencil path's time at every grid point with M <= 156, up to 0.87 at
+# M = 192-208 and up to 1.23 at M = 256.  The switch keeps the clear wins.
 _DENSE_MAX_UNKNOWNS = 128
 
 
@@ -247,7 +247,7 @@ class AffineOperator:
         copy of the transpose.
         """
         if self._dense is not None:
-            out = (self._dense @ c.ravel()).reshape(c.shape)
+            out = self._dense.dot(c.ravel()).reshape(c.shape)
         else:
             gathered = c.take(self._gather)
             out = np.ascontiguousarray(np.einsum("ijn,jn->in", self._stencil, gathered).T)
@@ -262,8 +262,9 @@ class SVOperator(AffineOperator):
     The constructor folds the upwind interface fluxes, the interior-face
     fluxes and each element's control-volume inverse into one element-last
     block stencil, so a call is one neighbour gather and one contraction
-    (on a small mesh, one dense product) whatever the elements' rule kinds.  The source is integrated over each
-    control volume and mapped by the CV inverse.
+    (on a small mesh, one dense product) whatever the elements' rule kinds.
+    The source is integrated over each control volume and mapped by the CV
+    inverse.
     """
 
     def __init__(
