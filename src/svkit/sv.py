@@ -230,7 +230,7 @@ class AffineOperator:
             return self._src_memo[1]
         g = np.asarray(self.source(self._src_x, t), dtype=float)
         if self._src_w is None:
-            term = g.T @ self._src_map
+            term = g.T.dot(self._src_map)
         else:
             sums = np.einsum("jqn,jqn->jn", g, self._src_w)
             term = np.ascontiguousarray(np.einsum("ijn,jn->in", self._src_map, sums).T)
