@@ -37,6 +37,10 @@ class PiecewisePoly:
     k: int
     coeffs: np.ndarray
 
+    # NumPy defers binary operations to this class, so an array operand
+    # meets __mul__'s refusal instead of broadcasting the poly as an object.
+    __array_ufunc__ = None
+
     def __init__(self, mesh: Mesh1D, k: int, coeffs):
         # RK4 builds 17 of these a step, nearly all from fresh float64 arrays,
         # so those skip the conversion (any other float64 dtype object merely

@@ -95,7 +95,7 @@ def test_scalar_multiplication_accepts_real_numbers(scalar):
         np.testing.assert_array_equal(product.coeffs, expected)
 
 
-@pytest.mark.parametrize("scalar", ["2", "x", 1j, None])
+@pytest.mark.parametrize("scalar", ["2", "x", 1j, None, np.array([2.0]), np.array(2.0)])
 def test_scalar_multiplication_rejects_non_real_operands(scalar):
     u = _random_poly(build_mesh(4), 2, seed=1)
     assert u.__mul__(scalar) is NotImplemented
