@@ -29,7 +29,7 @@ COMMANDS = (
     " --compare-dg --perturb 0.2 --seed 3",
     "--example 2 --scheme rsv,lsv --k 1,2,4 --n 8,16 --t-final 0.1 --tie-break left"
     " --compare-dg --format md",
-    "--example 1 --scheme rsv,lsv --k 2,3 --n 512,1024 --t-final 0.002 --perturb 0.2 --seed 5",
+    "--example 1 --scheme rsv,lsv,dg --k 2,3 --n 512,1024 --t-final 0.002 --perturb 0.2 --seed 5",
 )
 
 

@@ -14,7 +14,6 @@ from .exceptions import (
     InvalidConfigError,
     NonConvergenceError,
     NonFiniteError,
-    OutOfDomainError,
     SingularMatrixError,
     SvkitError,
     UnknownCaseError,
@@ -65,7 +64,6 @@ __all__ = [
     "Mesh1D",
     "NonConvergenceError",
     "NonFiniteError",
-    "OutOfDomainError",
     "Partition",
     "PiecewisePoly",
     "QuadratureRule",

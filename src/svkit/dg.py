@@ -25,7 +25,9 @@ class DGOperator(AffineOperator):
     The constructor folds the volume term, the two upwind interface traces and
     the inverse mass matrix into one element-last block stencil, so a call is
     one neighbour gather and one contraction (on a small mesh, one dense
-    product).  The source is projected with the volume term's Gauss rule.
+    product).  The source is projected with the volume term's Gauss rule:
+    one (k+3, k+1) map from the node samples to the modes serves every
+    element, as the element size cancels.
     """
 
     def __init__(self, mesh: Mesh1D, k: int, coeff: FluxCoefficient, source=None):
@@ -62,7 +64,7 @@ class DGOperator(AffineOperator):
         # quadrature (h/2) sum_j w_j g(x_j) L_m(s_j); h cancels, so one
         # (q, k+1) map serves every element.
         projection = (wg[:, None] * basis) * (0.5 * mode_scale)
-        super().__init__(mesh, k, stencil, source, x, source_map=projection)
+        super().__init__(mesh, k, stencil, source, x, projection, np.arange(n))
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
         return PiecewisePoly(self.mesh, self.k, self.apply(u.coeffs, t))

@@ -21,10 +21,6 @@ class DegenerateNodesError(SvkitError):
     """Two interpolation nodes coincide; interpolation is impossible."""
 
 
-class OutOfDomainError(SvkitError):
-    """A coordinate lies outside the computational domain."""
-
-
 class NonFiniteError(SvkitError):
     """A solution coefficient became NaN or infinite during time stepping."""
 

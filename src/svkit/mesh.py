@@ -33,6 +33,11 @@ MAX_PERTURBATION = 0.4
 MAX_SIZE_RATIO = 10.0
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    # numbers counts a bool as an integer, so True would pass as 1.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class Scheme(Enum):
     LSV = "lsv"
     RSV = "rsv"
@@ -80,13 +85,13 @@ def build_mesh(n: int, perturbation: float = 0.0, seed: int = 0) -> Mesh1D:
     Each interior breakpoint moves by at most ``perturbation * (2*pi/n)``;
     perturbation must stay below 0.4 to preserve monotonicity.
     """
-    if n < 2:
-        raise InvalidConfigError(f"element count must be >= 2, got {n}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_number(n, numbers.Integral) or n < 2:
+        raise InvalidConfigError(f"element count must be an integer >= 2, got {n!r}")
+    if not _is_number(seed, numbers.Integral) or seed < 0:
         raise InvalidConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    if not 0.0 <= perturbation < MAX_PERTURBATION:
+    if not _is_number(perturbation) or not 0.0 <= perturbation < MAX_PERTURBATION:
         raise InvalidConfigError(
-            f"perturbation must lie in [0, {MAX_PERTURBATION}), got {perturbation}"
+            f"perturbation must lie in [0, {MAX_PERTURBATION}), got {perturbation!r}"
         )
     bp = np.linspace(0.0, DOMAIN_LENGTH, n + 1)
     if perturbation > 0.0:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import BelowRoundoffError
-from .mesh import FluxCoefficient, Mesh1D, Partition
+from .mesh import FluxCoefficient, Partition
 from .poly import PiecewisePoly, _fit, _grid_l2, _nodes_without, auto_interp_kinds, broken_norm
 from .quadrature import RULE_KINDS, gauss_panel, make_rule
 
@@ -52,19 +52,6 @@ def _extrema_batch(nodes: np.ndarray) -> np.ndarray:
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return np.ascontiguousarray((0.5 * (lo + hi)).T)
-
-
-def node_polynomial_extrema(nodes) -> np.ndarray:
-    """The k stationary points of prod (x - nodes_j) for k+1 distinct nodes.
-
-    Bisection to 1e-13; each root lies strictly between consecutive nodes.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise ValueError("need a 1-D array of at least two nodes")
-    if np.any(np.diff(nodes) <= 0):
-        raise ValueError("nodes must be strictly increasing")
-    return _extrema_batch(nodes[None, :])[0]
 
 
 @lru_cache(maxsize=None)
@@ -125,22 +112,9 @@ class ErrorReport:
     dg_diff_flux_cell_rms: float | None = None
     dg_diff_cell_rms: float | None = None
 
-    def metric_items(self):
-        for name in self.METRIC_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                yield name, value
-
 
 # The metrics are the fields after the run's identity (scheme, k, n, t_final).
 ErrorReport.METRIC_FIELDS = tuple(f.name for f in fields(ErrorReport)[4:])
-
-
-def _quad_grid(mesh: Mesh1D, k: int):
-    """(k+3)-point Gauss panel and its (N, k+3) image in every element."""
-    sg, wg = gauss_panel(k + 3)
-    x = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg[None, :]
-    return sg, wg, x
 
 
 def _rms(values: np.ndarray) -> float:
@@ -156,14 +130,6 @@ def _twin_functionals(diff: PiecewisePoly, aq: np.ndarray, sg, wg) -> tuple[floa
     samples = diff.eval_ref(sg)
     flux_cells = 0.5 * ((aq * samples) @ wg)
     return _grid_l2(samples, wg, diff.mesh.sizes), _rms(flux_cells), _rms(diff.coeffs[:, 0])
-
-
-def compare_sv_dg(
-    u_sv: PiecewisePoly, u_dg: PiecewisePoly, coeff: FluxCoefficient
-) -> tuple[float, float, float]:
-    """L2, flux-weighted cell RMS, and cell RMS of the SV-minus-DG difference."""
-    sg, wg, xq = _quad_grid(u_sv.mesh, u_sv.k)
-    return _twin_functionals(u_sv - u_dg, np.asarray(coeff.alpha(xq), dtype=float), sg, wg)
 
 
 def error_report(
@@ -202,7 +168,8 @@ def error_report(
     gap = u_h - _fit(u_nodes, nodes, partition)
 
     # Gauss grid: the L2 errors and the cell averages of the mismatch.
-    sg, wg, xq = _quad_grid(mesh, partition.k)
+    sg, wg = gauss_panel(partition.k + 3)
+    xq = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg[None, :]
     mismatch = np.asarray(u(xq), dtype=float) - u_h.eval_ref(sg)
     aq = np.asarray(coeff.alpha(xq), dtype=float)
     gap_q = gap.eval_ref(sg)
@@ -245,6 +212,8 @@ def convergence_orders(errors: list[tuple[int, float]]) -> list[float]:
     for (n1, e1), (n2, e2) in zip(errors, errors[1:]):
         if n2 <= n1:
             raise ValueError("resolutions must be strictly increasing")
+        if not (np.isfinite(e1) and np.isfinite(e2)):
+            raise ValueError(f"errors must be finite, got ({e1}, {e2})")
         if e1 <= 1e-15 or e2 <= 1e-15:
             raise BelowRoundoffError(
                 f"error at roundoff level ({e1:.2e}, {e2:.2e}); order undefined"

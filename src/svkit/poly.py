@@ -20,11 +20,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import DegenerateNodesError, InvalidConfigError, OutOfDomainError
-from .mesh import DOMAIN_LENGTH, FluxCoefficient, Mesh1D, Partition
+from .exceptions import DegenerateNodesError, InvalidConfigError
+from .mesh import FluxCoefficient, Mesh1D, Partition
 from .quadrature import gauss_panel, legendre_basis, legendre_basis_deriv
 
-_BREAKPOINT_TOL = 1e-12
 _FLOAT64 = np.dtype(np.float64)
 LINF_SAMPLES = 21
 
@@ -53,10 +52,6 @@ class PiecewisePoly:
         self.mesh = mesh
         self.k = k
         self.coeffs = coeffs
-
-    @classmethod
-    def zeros(cls, mesh: Mesh1D, k: int) -> "PiecewisePoly":
-        return cls(mesh, k, np.zeros((mesh.n_elements, k + 1)))
 
     def copy(self) -> "PiecewisePoly":
         return PiecewisePoly(self.mesh, self.k, self.coeffs.copy())
@@ -88,45 +83,6 @@ class PiecewisePoly:
         """One-sided values at each element's left endpoint."""
         alt = (-1.0) ** np.arange(self.k + 1)
         return self.coeffs @ alt
-
-    # -- pointwise evaluation -------------------------------------------------
-
-    def eval(self, x: float, side: str = "interior", derivative: bool = False):
-        """Value (and optionally x-derivative) at a single domain point.
-
-        ``side`` must be "left" or "right" when x coincides with an element
-        breakpoint; the domain wraps periodically so x = 0 / 2*pi address the
-        last / first element as needed.
-        """
-        x = float(x)
-        if x < -_BREAKPOINT_TOL or x > DOMAIN_LENGTH + _BREAKPOINT_TOL:
-            raise OutOfDomainError(f"x = {x} outside [0, 2*pi]")
-        bp = self.mesh.breakpoints
-        n = self.mesh.n_elements
-
-        idx = int(np.argmin(np.abs(bp - x)))
-        if abs(bp[idx] - x) <= _BREAKPOINT_TOL:
-            if side == "left":
-                elem = (idx - 1) % n
-                s = 1.0
-            elif side == "right":
-                elem = idx % n
-                s = -1.0
-            else:
-                raise ValueError(
-                    f"x = {x} is a breakpoint; side='left' or side='right' is required"
-                )
-        else:
-            elem = int(np.searchsorted(bp, x)) - 1
-            elem = min(max(elem, 0), n - 1)
-            s = (2.0 * x - bp[elem] - bp[elem + 1]) / (bp[elem + 1] - bp[elem])
-
-        vals, ders = legendre_basis_deriv(self.k, s)
-        value = float(self.coeffs[elem] @ vals)
-        if not derivative:
-            return value
-        dvalue = float(self.coeffs[elem] @ ders) * 2.0 / float(self.mesh.sizes[elem])
-        return value, dvalue
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -163,11 +119,6 @@ class PiecewisePoly:
 
     def __neg__(self):
         return PiecewisePoly(self.mesh, self.k, -self.coeffs)
-
-
-def cell_averages(u: PiecewisePoly) -> np.ndarray:
-    """Per-element means; exactly the zeroth modal coefficients."""
-    return u.coeffs[:, 0].copy()
 
 
 def total_mass(u: PiecewisePoly) -> float:
@@ -333,32 +284,26 @@ def broken_norm(
     u: PiecewisePoly,
     kind: str = "l2",
     reference: Callable[[np.ndarray], np.ndarray] | None = None,
-    weight: Callable[[np.ndarray], np.ndarray] | None = None,
-    quad_points: int | None = None,
 ) -> float:
-    """Broken L2 or Linf norm of u, or of weight * (u - reference).
+    """Broken L2 or Linf norm of u, or of u - reference.
 
-    L2 integrates the squared integrand with a per-element Gauss panel of
-    ``quad_points`` nodes (default k+3, exact for the bare polynomial).  Linf
-    samples 21 equispaced points per element, endpoints included, so both
-    one-sided traces at every breakpoint participate.
+    L2 integrates the squared integrand with a per-element (k+3)-point Gauss
+    panel, exact for the bare polynomial.  Linf samples 21 equispaced points
+    per element, endpoints included, so both one-sided traces at every
+    breakpoint participate.
     """
     mesh = u.mesh
     if kind == "l2":
-        q = quad_points if quad_points is not None else u.k + 3
-        s, wq = gauss_panel(q)
+        s, wq = gauss_panel(u.k + 3)
     elif kind == "linf":
         s = np.linspace(-1.0, 1.0, LINF_SAMPLES)
     else:
         raise ValueError(f"unknown norm kind {kind!r}")
 
     vals = u.eval_ref(s)
-    if reference is not None or weight is not None:
+    if reference is not None:
         x = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * s[None, :]
-        if reference is not None:
-            vals = vals - np.asarray(reference(x), dtype=float)
-        if weight is not None:
-            vals = vals * np.asarray(weight(x), dtype=float)
+        vals = vals - np.asarray(reference(x), dtype=float)
 
     if kind == "linf":
         return float(np.max(np.abs(vals)))

@@ -79,15 +79,6 @@ class QuadratureRule:
     points: np.ndarray   # k+2 abscissae, s_0 = -1 < ... < s_{k+1} = 1
     weights: np.ndarray  # k+2 weights; non-node endpoints carry 0
 
-    @property
-    def exact_degree(self) -> int:
-        """Highest polynomial degree integrated exactly."""
-        return 2 * self.k - 1 if self.kind is RuleKind.GAUSS else 2 * self.k
-
-    def apply(self, values: np.ndarray) -> float:
-        """Apply the rule to pointwise values taken at ``self.points``."""
-        return float(np.dot(self.weights, values))
-
 
 @lru_cache(maxsize=None)
 def gauss_panel(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -191,18 +182,3 @@ def _build_rule(kind: RuleKind, k: int) -> QuadratureRule:
     weights.setflags(write=False)
     return QuadratureRule(kind=kind, k=k, points=points, weights=weights)
 
-
-def integrate_panel(f, a: float, b: float, m: int) -> float:
-    """m-point Gauss-Legendre approximation of the integral of f over [a, b].
-
-    Exact to roundoff for polynomials of degree <= 2m - 1.  ``f`` must accept
-    an ndarray of abscissae.
-    """
-    if not a < b:
-        raise InvalidConfigError(f"interval must satisfy a < b, got [{a}, {b}]")
-    if m < 1:
-        raise InvalidConfigError(f"point count must be >= 1, got {m}")
-    sg, wg = gauss_panel(m)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(wg, np.asarray(f(mid + half * sg), dtype=float)))

@@ -17,7 +17,7 @@ from pathlib import Path
 from .cases import CaseSpec, manufactured_case
 from .dg import DGOperator
 from .exceptions import InvalidConfigError
-from .mesh import FluxCoefficient, Scheme, build_mesh, build_partition
+from .mesh import FluxCoefficient, Scheme, _is_number, build_mesh, build_partition
 from .metrics import ErrorReport, convergence_orders, error_report
 from .poly import InterpKind, interpolate
 from .quadrature import RuleKind, check_order
@@ -95,11 +95,6 @@ class StudyConfig:
             raise InvalidConfigError(f"dt factor must be finite and positive, got {self.dt_factor}")
         if self.t_final is not None and not _finite_positive(self.t_final):
             raise InvalidConfigError(f"final time must be finite and positive, got {self.t_final}")
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    # numbers counts a bool as an integer: dt_factor=True would run dt = 1/n.
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _finite_positive(value) -> bool:

@@ -8,8 +8,8 @@ rule's reference inverse.  The result is linear in the state and couples each
 element only to its two neighbours, so the operator is built once as a block
 stencil over [c_{i-1}, c_i, c_{i+1}].
 
-Layout: the stencil and the per-element source arrays keep the element index
-last, so every product is a contraction whose innermost loop runs over the
+Layout: the stencil and the source nodes keep the element index last, so
+every product is a contraction whose innermost loop runs over the
 elements; an element-stacked ``np.matmul`` would instead make one small BLAS
 call per element.  A stencil is a C-contiguous (k+1, 3(k+1), N) array whose
 columns are ordered (mode, side), side running over [i-1, i, i+1].
@@ -31,7 +31,6 @@ from .mesh import FluxCoefficient, Partition, Scheme
 from .poly import PiecewisePoly
 from .quadrature import (
     RULE_KINDS,
-    QuadratureRule,
     RuleKind,
     check_order,
     gauss_panel,
@@ -76,13 +75,9 @@ def _legendre_antiderivative_table(k: int, s: np.ndarray) -> np.ndarray:
     return table
 
 
-def cv_matrix(rule: QuadratureRule) -> ControlVolumeMatrix:
-    """Control-volume moment matrix for one rule, cached per (kind, order)."""
-    return _cv_matrix(rule.kind, rule.k)
-
-
 @lru_cache(maxsize=None)
-def _cv_matrix(kind: RuleKind, k: int) -> ControlVolumeMatrix:
+def cv_matrix(kind: RuleKind, k: int) -> ControlVolumeMatrix:
+    """Control-volume moment matrix of the order-k rule of one kind, cached."""
     anti = _legendre_antiderivative_table(k, make_rule(kind, k).points)
     matrix = anti[1:] - anti[:-1]
     cond = np.linalg.cond(matrix)
@@ -149,10 +144,28 @@ def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
     interior = make_rule(kind, k).points[1 : k + 1]
     faces[4 + np.arange(k), 1 + np.arange(k), :, 1] = legendre_basis(k, interior)
     faces = faces.reshape(k + 4, k + 2, 3 * m)
-    patterns = _cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])  # (k+4, m, 3m)
+    patterns = cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])  # (k+4, m, 3m)
     patterns_t = np.ascontiguousarray(patterns.transpose(1, 2, 0)).reshape(-1, k + 4)
     patterns_t.setflags(write=False)
     return patterns_t
+
+
+@lru_cache(maxsize=None)
+def _sv_source_map(kind: RuleKind, k: int) -> np.ndarray:
+    """((k+1)(k+2), k+1) map from g at one rule kind's source nodes to modes, read-only.
+
+    Row j(k+2) + q holds node q of control volume j.  The CV integral is the
+    CV's (k+2)-point Gauss sum times its half-width, and that half-width times
+    the 2/h of the recovery is the reference half-width (s_{j+1} - s_j)/2, so
+    the map is the CV inverse times the reference half-widths times the Gauss
+    weights, the same for every element of the kind.
+    """
+    _, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
+    half = 0.5 * np.diff(make_rule(kind, k).points)
+    cv_map = (cv_matrix(kind, k).inverse.T * half[:, None])[:, None, :] * wg[:, None]
+    cv_map = cv_map.reshape(-1, k + 1)
+    cv_map.setflags(write=False)
+    return cv_map
 
 
 # The largest M = N(k+1) at which A is applied as one dense (M, M) matrix.  On
@@ -190,18 +203,19 @@ class AffineOperator:
     The spectral-volume and DG operators differ only in the (k+1, 3(k+1), N)
     ``stencil`` and in how the source g is projected onto each element, so
     each builds those arrays and hands them here.  g is sampled on frozen
-    ``nodes``.  With (J, Q, N) nodes and ``weights``, each row j is summed
-    against its weights and the (J, N) sums are mapped to modal coefficients
-    by the per-element (k+1, J, N) ``source_map``.  Without weights the nodes
-    are (J, N) and the map is one (J, k+1) matrix shared by every element, so
-    the term is g^T times the map.
+    (P, N) ``nodes``, the same P reference points in every element of a rule
+    code.  The element size cancels from each projection, so one (P, k+1) map
+    per rule code takes the samples to modal coefficients: ``source_map``
+    stacks the C maps in use side by side, and element i reads row
+    ``rows[i]`` = C·i + (position of its code) of g^T times it, reshaped to
+    (N·C, k+1).  DG has C = 1.
 
     The stencil defines A.  On meshes with at most ``_DENSE_MAX_UNKNOWNS``
     unknowns N(k+1) the constructor also assembles A as one dense matrix from
     it, and :meth:`apply` multiplies by that instead.
     """
 
-    def __init__(self, mesh, k, stencil, source=None, nodes=None, weights=None, source_map=None):
+    def __init__(self, mesh, k, stencil, source=None, nodes=None, source_map=None, rows=None):
         self.mesh = mesh
         self.k = k
         self.source = source
@@ -219,9 +233,10 @@ class AffineOperator:
             self._dense = _dense_matrix(stencil, self._gather)
         if source is not None:
             nodes.setflags(write=False)  # lets a source memoise per-node factors
+            source_map.setflags(write=False)
             self._src_x = nodes
-            self._src_w = weights
             self._src_map = source_map
+            self._src_rows = rows
             self._src_memo: tuple[float, np.ndarray] | None = None
 
     def _source_term(self, t: float) -> np.ndarray:
@@ -229,11 +244,7 @@ class AffineOperator:
         if self._src_memo is not None and self._src_memo[0] == t:
             return self._src_memo[1]
         g = np.asarray(self.source(self._src_x, t), dtype=float)
-        if self._src_w is None:
-            term = g.T.dot(self._src_map)
-        else:
-            sums = np.einsum("jqn,jqn->jn", g, self._src_w)
-            term = np.ascontiguousarray(np.einsum("ijn,jn->in", self._src_map, sums).T)
+        term = g.T.dot(self._src_map).reshape(-1, self.k + 1).take(self._src_rows, axis=0)
         self._src_memo = (t, term)
         return term
 
@@ -263,8 +274,9 @@ class SVOperator(AffineOperator):
     fluxes and each element's control-volume inverse into one element-last
     block stencil, so a call is one neighbour gather and one contraction
     (on a small mesh, one dense product) whatever the elements' rule kinds.
-    The source is integrated over each control volume and mapped by the CV
-    inverse.
+    The source is integrated over each control volume by (k+2)-point Gauss
+    and recovered by the CV inverse: per rule kind one fixed map from the
+    (k+1)(k+2) node samples to the modes, as the element size cancels.
     """
 
     def __init__(
@@ -284,35 +296,34 @@ class SVOperator(AffineOperator):
         n = mesh.n_elements
 
         # Each element's stencil is its rule's patterns times its weights,
-        # times 2/h; the reference CV inverse, times 2/h, maps the source.
-        # Per rule code in use, one product with the weights zeroed outside
-        # the code's elements: no gather or scatter, and the sum over codes
-        # adds exact zeros.  LSV uses Gauss alone, RSV at most the two Radau
-        # kinds.
+        # times 2/h.  Per rule code in use, one product with the weights
+        # zeroed outside the code's elements: no gather or scatter, and the
+        # sum over codes adds exact zeros.  LSV uses Gauss alone, RSV at most
+        # the two Radau kinds.
         a_int = np.asarray(coeff.alpha(partition.subpoints[:, 1 : k + 1]), dtype=float)
         weights = np.column_stack([upwind_weights(coeff), a_int]) * (2.0 / mesh.sizes)[:, None]
         codes = partition.kinds
-        first, *others = np.flatnonzero(np.bincount(codes))  # the codes in use
+        used = np.flatnonzero(np.bincount(codes))  # the codes in use
+        first, *others = used
         stencil = _sv_patterns(RULE_KINDS[first], k) @ (weights.T * (codes == first))
         for code in others:
             stencil += _sv_patterns(RULE_KINDS[code], k) @ (weights.T * (codes == code))
         stencil = stencil.reshape(k + 1, 3 * (k + 1), n)
 
-        x = w = cv_inv = None
+        nodes = source_map = rows = None
         if source is not None:
-            sg, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
+            sg, _ = gauss_panel(k + SOURCE_QUAD_EXTRA)
             sp = np.ascontiguousarray(partition.subpoints.T)  # (k+2, N)
             mid = 0.5 * (sp[1:] + sp[:-1])[:, None, :]        # (k+1, 1, N)
             half = 0.5 * (sp[1:] - sp[:-1])[:, None, :]       # (k+1, 1, N)
-            # A fresh C-contiguous array: strided nodes slow every source
-            # evaluation, and a source memoises only arrays that own their data.
-            x = mid + half * sg[:, None]                      # (k+1, q, N)
-            w = half * wg[:, None]                            # (k+1, q, N)
-            inverses = np.stack([_cv_matrix(kind, k).inverse for kind in RULE_KINDS], axis=-1)
-            # take, unlike [:, :, codes], keeps the elements innermost for the source map.
-            cv_inv = inverses.take(codes, axis=2)  # (k+1, k+1, N)
-            cv_inv *= 2.0 / mesh.sizes
-        super().__init__(mesh, k, stencil, source, x, w, cv_inv)
+            # A fresh C-contiguous array, not a reshaped view: strided nodes slow
+            # every source evaluation, and a source memoises only arrays that
+            # own their data.
+            nodes = np.empty(((k + 1) * sg.size, n))
+            np.add(mid, half * sg[:, None], out=nodes.reshape(k + 1, sg.size, n))
+            source_map = np.hstack([_sv_source_map(RULE_KINDS[code], k) for code in used])
+            rows = np.arange(n) * used.size + np.searchsorted(used, codes)
+        super().__init__(mesh, k, stencil, source, nodes, source_map, rows)
 
     def __call__(self, u: PiecewisePoly, t: float) -> PiecewisePoly:
         return PiecewisePoly(self.mesh, self.k, self.apply(u.coeffs, t))

@@ -25,9 +25,11 @@ from svkit.poly import (
     total_mass,
     triple_norm,
 )
-from svkit.quadrature import RuleKind, integrate_panel, make_rule
+from svkit.quadrature import RuleKind, make_rule
 from svkit.sv import SchemeConfig, SVOperator
 from svkit.timestep import integrate_to
+
+from poly_reference import exact_degree, integrate_panel, point_values
 
 
 def _verdict(num, label, ok):
@@ -60,9 +62,9 @@ def test_c01_quadrature_exactness():
     for k in range(1, 7):
         for kind in RuleKind:
             rule = make_rule(kind, k)
-            for degree in range(rule.exact_degree + 1):
+            for degree in range(exact_degree(kind, k) + 1):
                 exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
-                err = abs(rule.apply(rule.points**degree) - exact)
+                err = abs(rule.weights @ rule.points**degree - exact)
                 if err >= 1e-12 * max(1.0, abs(exact)):
                     failures.append((kind, k, degree))
         for kind, endpoint in (
@@ -70,7 +72,7 @@ def test_c01_quadrature_exactness():
             (RuleKind.RADAU_LEFT, -1.0),
         ):
             rule = make_rule(kind, k)
-            actual = 0.0 - rule.apply(rule.points ** (2 * k + 1))
+            actual = 0.0 - rule.weights @ rule.points ** (2 * k + 1)
             interior = rule.points[1 : k + 1]
             expected = integrate_panel(
                 lambda s: np.prod((s[:, None] - interior[None, :]) ** 2, axis=1)
@@ -360,7 +362,7 @@ def test_c11_interpolation_properties():
         poly = np.polynomial.Polynomial(0.3 * np.arange(1, k + 2))
         interp = interpolate(poly, part, coeff, InterpKind.AUTO)
         xs = np.linspace(0.05, 2 * np.pi - 0.05, 50)
-        vals = np.array([interp.eval(x) for x in xs])
+        vals = point_values(interp, xs)
         ok &= np.max(np.abs(vals - poly(xs))) < 1e-12 * max(1.0, np.max(np.abs(poly(xs))))
     # upwind-trace exactness at every interface, n = 8..64, k = 1..3
     f = lambda x: np.exp(np.sin(x))

@@ -8,7 +8,7 @@ from svkit.exceptions import InvalidConfigError
 from svkit.dg import VOLUME_QUAD_EXTRA, DGOperator
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.poly import InterpKind, PiecewisePoly, broken_norm, interpolate
-from svkit.quadrature import legendre_basis_deriv
+from svkit.quadrature import gauss_panel, legendre_basis, legendre_basis_deriv
 from svkit.sv import SchemeConfig, SVOperator
 from svkit.timestep import integrate_to
 
@@ -72,7 +72,7 @@ def test_source_moments_match_projection():
     mesh = build_mesh(32)
     case = manufactured_case(1)
     coeff = FluxCoefficient(case.alpha, mesh)
-    u = PiecewisePoly.zeros(mesh, 2)
+    u = PiecewisePoly(mesh, 2, np.zeros((32, 3)))
     t = 0.4
     out = DGOperator(mesh, 2, coeff, case.source)(u, t)
     sg, wg = np.polynomial.legendre.leggauss(12)
@@ -82,6 +82,20 @@ def test_source_moments_match_projection():
         basis = np.polynomial.legendre.legval(sg, np.eye(3)[m])
         proj = ((g * basis[None, :]) @ wg) * (2 * m + 1) / 2.0
         np.testing.assert_allclose(out.coeffs[:, m], proj, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 256])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+def test_source_term_is_one_product_with_the_projection(k, n):
+    # The DG term is g^T times one (k+3, k+1) projection, bit for bit: the
+    # element size cancels, and C = 1 leaves the row pick a plain copy.
+    case = manufactured_case(1)
+    mesh = build_mesh(n, 0.3, seed=k)
+    op = DGOperator(mesh, k, FluxCoefficient(case.alpha, mesh), case.source)
+    sg, wg = gauss_panel(k + VOLUME_QUAD_EXTRA)
+    projection = (wg[:, None] * legendre_basis(k, sg)) * (0.5 * (2.0 * np.arange(k + 1) + 1.0))
+    g = case.source(mesh.centers + 0.5 * mesh.sizes * sg[:, None], 0.3)
+    assert np.array_equal(op._source_term(0.3), g.T.dot(projection))
 
 
 def test_l2_dissipation_constant_coefficient():

@@ -52,6 +52,17 @@ def test_bad_configs_rejected():
     with pytest.raises(InvalidConfigError):
         build_mesh(8, 0.1, seed=1.5)
     with pytest.raises(InvalidConfigError):
+        build_mesh(8, 0.1, seed=True)
+    for n in (2.5, 8.0, np.float64(8), "8", True):
+        with pytest.raises(InvalidConfigError):
+            build_mesh(n)
+    for perturbation in ("x", True, np.nan):
+        with pytest.raises(InvalidConfigError):
+            build_mesh(8, perturbation)
+    np.testing.assert_array_equal(
+        build_mesh(np.int64(8), 0.1, seed=2).breakpoints, build_mesh(8, 0.1, seed=2).breakpoints
+    )
+    with pytest.raises(InvalidConfigError):
         Mesh1D(np.array([0.0, 1.0, 2.0]))  # does not reach 2*pi
 
 

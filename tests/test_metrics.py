@@ -13,10 +13,9 @@ from svkit.metrics import (
     _BISECT_STEPS,
     _auto_node_extrema,
     _extrema_batch,
-    compare_sv_dg,
+    _reference_extrema,
     convergence_orders,
     error_report,
-    node_polynomial_extrema,
 )
 from svkit.poly import InterpKind, PiecewisePoly, auto_interp_kinds, broken_norm, interpolate, interpolation_nodes
 from svkit.quadrature import RuleKind, gauss_panel
@@ -27,18 +26,27 @@ from strategies import breakpoint_zero_coefficients
 # -- extrema points ---------------------------------------------------------------
 
 
+def _extrema(nodes):
+    """The stationary points of prod (x - nodes_j) for one strictly increasing node set."""
+    return _extrema_batch(np.asarray(nodes, dtype=float)[None, :])[0]
+
+
 def test_extrema_two_nodes():
-    np.testing.assert_allclose(node_polynomial_extrema([0.0, 1.0]), [0.5], atol=1e-13)
+    np.testing.assert_allclose(_extrema([0.0, 1.0]), [0.5], atol=1e-13)
+    # The order-1 Gauss rule's points are -1, 0, 1; leaving out -1 gives the nodes 0, 1.
+    z = _reference_extrema(0, 0, 1)
+    np.testing.assert_allclose(z, [0.5], atol=1e-13)
+    assert not z.flags.writeable
 
 
 def test_extrema_three_symmetric_nodes():
-    z = node_polynomial_extrema([-1.0, 0.0, 1.0])
+    z = _extrema([-1.0, 0.0, 1.0])
     np.testing.assert_allclose(z, [-1 / np.sqrt(3), 1 / np.sqrt(3)], atol=1e-13)
 
 
 def test_extrema_against_dense_scan():
     nodes = np.array([0.0, 1.0, 4.0])
-    z = node_polynomial_extrema(nodes)
+    z = _extrema(nodes)
     xs = np.linspace(0.0, 4.0, 400001)
     omega = np.prod(xs[:, None] - nodes[None, :], axis=1)
     flips = np.nonzero(np.diff(np.sign(np.diff(omega))))[0]
@@ -65,7 +73,7 @@ def test_extrema_interlace(nodes):
     nodes = np.sort(np.asarray(nodes))
     if np.min(np.diff(nodes)) < 1e-3:
         return
-    z = node_polynomial_extrema(nodes)
+    z = _extrema(nodes)
     assert np.all(z > nodes[:-1])
     assert np.all(z < nodes[1:])
 
@@ -252,26 +260,36 @@ def test_gap_recomputed_independently():
     interp = interpolate(lambda x: case.u_exact(x, t), part, coeff, InterpKind.AUTO)
     independent = broken_norm(u_h - interp, "l2")
     assert report.gap_l2 == pytest.approx(independent, rel=1e-12)
-    for _, value in report.metric_items():
-        assert np.isfinite(value) and value >= 0.0
+    for name in ErrorReport.METRIC_FIELDS:
+        value = getattr(report, name)
+        assert value is None or (np.isfinite(value) and value >= 0.0)
 
 
-def test_compare_sv_dg_identical_states():
+def _twin_fields(u_sv, u_dg):
+    """The SV-minus-DG fields of the report of u_sv, with u_dg as its twin."""
+    case, _, coeff, part = _setup()
+    report = error_report(
+        u_sv, case.u0, lambda x: case.u_x(x, 0.0), coeff, part, scheme="rsv", t_final=0.0, u_dg=u_dg
+    )
+    return report.dg_diff_l2, report.dg_diff_flux_cell_rms, report.dg_diff_cell_rms
+
+
+def test_twin_fields_vanish_for_identical_states():
     _, mesh, coeff, _ = _setup()
     rng = np.random.default_rng(3)
     u = PiecewisePoly(mesh, 2, rng.standard_normal((16, 3)))
-    l2, fc, cc = compare_sv_dg(u, u.copy(), coeff)
+    l2, fc, cc = _twin_fields(u, u.copy())
     assert l2 == 0.0 and fc == 0.0 and cc == 0.0
 
 
-def test_compare_sv_dg_cell_schemes():
+def test_twin_fields_read_a_mean_shift():
     _, mesh, coeff, _ = _setup()
     rng = np.random.default_rng(4)
     u = PiecewisePoly(mesh, 2, rng.standard_normal((16, 3)))
     d = np.zeros((16, 3))
     d[:, 0] = 1e-3
     v = PiecewisePoly(mesh, 2, u.coeffs + d)
-    l2, fc, cc = compare_sv_dg(u, v, coeff)
+    l2, fc, cc = _twin_fields(u, v)
     assert cc == pytest.approx(1e-3, rel=1e-12)
     assert l2 == pytest.approx(1e-3 * np.sqrt(2 * np.pi), rel=1e-12)
 
@@ -297,7 +315,9 @@ def _defined_fields(u_h, u, u_x, coeff, part, u_dg):
     fields = dict(
         l2=broken_norm(u_h, "l2", reference=u),
         linf=broken_norm(u_h, "linf", reference=u),
-        flux_gap_l2=broken_norm(gap, "l2", weight=coeff.alpha),
+        flux_gap_l2=float(
+            np.sqrt(0.5 * np.dot(mesh.sizes, ((gap.eval_ref(sg) * coeff.alpha(xq)) ** 2) @ wg))
+        ),
         flux_cell_rms=float(np.sqrt(np.mean((0.5 * ((coeff.alpha(xq) * mismatch) @ wg)) ** 2))),
         flux_node_rms=rms(coeff.alpha(nodes.x) * node_mismatch),
         flux_iface_rms=float(np.sqrt(np.mean((a_if * u_if - a_if * uhat) ** 2))),
@@ -357,10 +377,6 @@ def test_report_fields_equal_their_definitions(scheme, variant, tie_break, k, n,
         report = error_report(u_h, u, u_x, coeff, part, scheme=scheme, t_final=0.3, u_dg=u_dg)
         defined = _defined_fields(u_h, u, u_x, coeff, part, u_dg)
         assert {name: getattr(report, name) for name in defined} == defined
-        if twin:
-            assert compare_sv_dg(u_h, u_dg, coeff) == (
-                defined["dg_diff_l2"], defined["dg_diff_flux_cell_rms"], defined["dg_diff_cell_rms"]
-            )
 
 
 def test_report_samples_each_point_set_once(monkeypatch):
@@ -432,4 +448,9 @@ def test_orders_reject_roundoff_and_bad_input():
         convergence_orders([(16, 1e-3), (32, 1e-16)])
     with pytest.raises(ValueError):
         convergence_orders([(32, 1e-3), (16, 1e-4)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            convergence_orders([(16, 1e-3), (32, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            convergence_orders([(16, bad), (32, 1e-3)])
     assert convergence_orders([(16, 1e-3)]) == []

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from svkit.exceptions import InvalidConfigError, OutOfDomainError
+from svkit.exceptions import InvalidConfigError
 from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.poly import (
     InterpKind,
     PiecewisePoly,
     auto_interp_kinds,
     broken_norm,
-    cell_averages,
     cv_integrals,
     element_antiderivative,
     interpolate,
@@ -18,7 +17,9 @@ from svkit.poly import (
     transform_inner_products,
     triple_norm,
 )
-from svkit.quadrature import RuleKind, make_rule
+from svkit.quadrature import RuleKind, gauss_panel, make_rule
+
+from poly_reference import point_values
 
 
 def _poly(mesh, k, coeffs):
@@ -30,56 +31,11 @@ def _random_poly(mesh, k, seed):
     return PiecewisePoly(mesh, k, rng.standard_normal((mesh.n_elements, k + 1)))
 
 
-# -- evaluation ----------------------------------------------------------------
-
-
-def test_eval_constant():
-    mesh = build_mesh(4)
-    u = _poly(mesh, 1, np.column_stack([np.full(4, 5.0), np.zeros(4)]))
-    assert u.eval(1.2345) == pytest.approx(5.0, abs=1e-14)
-    assert u.eval(np.pi, side="left") == pytest.approx(5.0, abs=1e-14)
-    assert u.eval(np.pi, side="right") == pytest.approx(5.0, abs=1e-14)
-
-
-def test_eval_linear_mode_trace_and_slope():
-    mesh = build_mesh(2)  # elements [0, pi], [pi, 2*pi]
-    u = _poly(mesh, 1, [[0.0, 1.0], [0.0, 0.0]])
-    assert u.eval(np.pi, side="left") == pytest.approx(1.0, abs=1e-14)
-    value, slope = u.eval(np.pi / 2, derivative=True)
-    assert value == pytest.approx(0.0, abs=1e-14)
-    assert slope == pytest.approx(2.0 / np.pi, rel=1e-13)
-
-
-def test_eval_periodic_wrap():
-    mesh = build_mesh(2)
-    u = _poly(mesh, 1, [[1.0, 0.5], [2.0, -0.25]])
-    assert u.eval(0.0, side="left") == pytest.approx(2.0 - 0.25, abs=1e-14)
-    assert u.eval(2 * np.pi, side="right") == pytest.approx(1.0 - 0.5, abs=1e-14)
-
-
-def test_eval_requires_side_at_breakpoints():
-    mesh = build_mesh(4)
-    u = _random_poly(mesh, 2, 0)
-    with pytest.raises(ValueError):
-        u.eval(np.pi / 2)
-    with pytest.raises(OutOfDomainError):
-        u.eval(-0.5)
-    with pytest.raises(OutOfDomainError):
-        u.eval(2 * np.pi + 1e-6)
-
-
 def test_traces_match_eval():
     mesh = build_mesh(6, 0.2, seed=4)
     u = _random_poly(mesh, 3, 1)
-    right = u.right_traces()
-    left = u.left_traces()
-    for i in range(6):
-        assert right[i] == pytest.approx(
-            u.eval(mesh.breakpoints[i + 1], side="left"), abs=1e-13
-        )
-        assert left[i] == pytest.approx(
-            u.eval(mesh.breakpoints[i], side="right"), abs=1e-13
-        )
+    np.testing.assert_allclose(u.right_traces(), u.eval_ref([1.0])[:, 0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(u.left_traces(), u.eval_ref([-1.0])[:, 0], rtol=0, atol=1e-13)
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -148,7 +104,7 @@ def test_polynomial_reproduction(scheme, k, kind):
     poly = np.polynomial.Polynomial(np.arange(1, k + 2) * 0.37)
     interp = interpolate(poly, part, coeff, kind)
     xs = np.linspace(0.1, 2 * np.pi - 0.1, 40)
-    vals = np.array([interp.eval(x) for x in xs])
+    vals = point_values(interp, xs)
     assert np.max(np.abs(vals - poly(xs))) < 1e-12 * max(1.0, np.max(np.abs(poly(xs))))
 
 
@@ -377,11 +333,11 @@ def test_l2_matches_modal_formula():
     assert broken_norm(u, "l2") == pytest.approx(exact, rel=1e-13)
 
 
-def test_weighted_and_reference_norms():
+def test_reference_norms():
     mesh = build_mesh(6)
     u = _poly(mesh, 1, np.column_stack([np.full(6, 2.0), np.zeros(6)]))
-    # || sin * (u - 1) || = || sin || = sqrt(pi)
-    value = broken_norm(u, "l2", reference=lambda x: np.ones_like(x), weight=np.sin)
+    # || u - (2 - sin) || = || sin || = sqrt(pi)
+    value = broken_norm(u, "l2", reference=lambda x: 2.0 - np.sin(x))
     assert value == pytest.approx(np.sqrt(np.pi), rel=1e-10)
 
 
@@ -392,16 +348,15 @@ def test_l2_quadrature_doubling():
     f = lambda x: np.exp(np.sin(x))
     u = interpolate(f, part, coeff, InterpKind.AUTO)
     base = broken_norm(u, "l2", reference=f)
-    doubled = broken_norm(u, "l2", reference=f, quad_points=2 * 2 + 6)
+    sg, wg = gauss_panel(2 * 2 + 6)
+    x = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * sg
+    doubled = np.sqrt(0.5 * np.dot(mesh.sizes, ((u.eval_ref(sg) - f(x)) ** 2) @ wg))
     assert abs(base - doubled) < 1e-3 * base
 
 
-def test_cell_averages():
+def test_total_mass():
     mesh = build_mesh(5)
     coeffs = np.zeros((5, 2))
     coeffs[:, 0] = np.arange(1.0, 6.0)
     u = _poly(mesh, 1, coeffs)
-    np.testing.assert_array_equal(cell_averages(u), np.arange(1.0, 6.0))
-    u2 = _poly(mesh, 1, np.column_stack([np.zeros(5), np.ones(5)]))
-    np.testing.assert_array_equal(cell_averages(u2), np.zeros(5))
     assert total_mass(u) == pytest.approx(np.dot(mesh.sizes, np.arange(1.0, 6.0)), rel=1e-14)

