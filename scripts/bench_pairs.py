@@ -133,6 +133,20 @@ def _group(workload: str, trace: int, pairs: list[dict], declared: dict) -> dict
             "summary": _summary(pairs, declared, checks["head_sound"])}
 
 
+def _bench_doc(top: Path, label: str, commits: dict) -> tuple[Path, dict]:
+    """``BENCH_<label>.json`` and its contents, new or as written, for the two commits."""
+    bench_file = top / f"BENCH_{label}.json"
+    if bench_file.exists():
+        doc = json.loads(bench_file.read_text(encoding="utf-8"))
+        if (doc["base_commit"], doc["head_commit"]) != (commits["base"], commits["head"]):
+            raise SystemExit(f"{bench_file.name} compares other commits")
+    else:
+        doc = {"label": label, "base_commit": commits["base"], "head_commit": commits["head"],
+               "cpu_count": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
+               "python": platform.python_version(), "machine": platform.machine(), "groups": {}}
+    return bench_file, doc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", required=True, help="file name part: BENCH_<label>.json")
@@ -146,15 +160,7 @@ def main(argv=None) -> int:
     top = Path(_git("rev-parse", "--show-toplevel", cwd=Path(__file__).resolve().parent))
     commits = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=top)
                for side, rev in (("base", args.base), ("head", args.head))}
-    bench_file = top / f"BENCH_{args.label}.json"
-    if bench_file.exists():
-        doc = json.loads(bench_file.read_text(encoding="utf-8"))
-        if (doc["base_commit"], doc["head_commit"]) != (commits["base"], commits["head"]):
-            raise SystemExit(f"bench_pairs: {bench_file.name} compares other commits")
-    else:
-        doc = {"label": args.label, "base_commit": commits["base"], "head_commit": commits["head"],
-               "cpu_count": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
-               "python": platform.python_version(), "machine": platform.machine(), "groups": {}}
+    bench_file, doc = _bench_doc(top, args.label, commits)
     key = args.workload + (" --trace 1" if args.trace else "")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:

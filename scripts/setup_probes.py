@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import RUN_TIMEOUT_S, _export, _git, _spread
+from bench_pairs import RUN_TIMEOUT_S, _bench_doc, _export, _git, _spread
 
 
 def _probe(checkout: Path, workload: str, seed: int) -> float:
@@ -69,15 +67,7 @@ def main(argv=None) -> int:
     top = Path(_git("rev-parse", "--show-toplevel", cwd=Path(__file__).resolve().parent))
     commits = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=top)
                for side, rev in (("base", args.base), ("head", args.head))}
-    bench_file = top / f"BENCH_{args.label}.json"
-    if bench_file.exists():
-        doc = json.loads(bench_file.read_text(encoding="utf-8"))
-        if (doc["base_commit"], doc["head_commit"]) != (commits["base"], commits["head"]):
-            raise SystemExit(f"setup_probes: {bench_file.name} compares other commits")
-    else:
-        doc = {"label": args.label, "base_commit": commits["base"], "head_commit": commits["head"],
-               "cpu_count": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
-               "python": platform.python_version(), "machine": platform.machine(), "groups": {}}
+    bench_file, doc = _bench_doc(top, args.label, commits)
     key = f"{args.workload} --setup-probe"
 
     with tempfile.TemporaryDirectory(prefix="setup_probes-") as tmp:

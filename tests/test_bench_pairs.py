@@ -68,3 +68,20 @@ def test_an_incorrect_base_run_does_not_void_the_change():
     group = bench_pairs._group("fine-forced", 0, pairs, DECLARED)
     assert group["checks"]["base"]["correct_runs"] == 9
     assert group["summary"]["wall_s"]["gain_shown"]
+
+
+_PROBES = _SCRIPT.with_name("setup_probes.py")
+_probes_spec = importlib.util.spec_from_file_location("setup_probes", _PROBES)
+setup_probes = importlib.util.module_from_spec(_probes_spec)
+_probes_spec.loader.exec_module(setup_probes)  # imports bench_pairs, registered above
+
+
+def test_setup_probe_summary_counts_wins_ties_and_medians():
+    probes = [{"seed": 1, "order": ["base", "head"], "base": 0.20 + 0.01 * i, "head": 0.18 + 0.01 * i}
+              for i in range(5)]
+    probes.append({"seed": 1, "order": ["head", "base"], "base": 0.3, "head": 0.3})
+    setup = setup_probes._group("forced-sweep", probes)["summary"]["setup_s"]
+    assert (setup["head_wins"], setup["ties"], setup["probes"]) == (5, 1, 6)
+    assert setup["base"]["median"] == pytest.approx(0.225)
+    assert setup["head"]["median"] == pytest.approx(0.205)
+    assert setup["median_change"] == pytest.approx(-0.02 / 0.225)
