@@ -14,6 +14,7 @@ defining difference between the two spectral-volume variants:
 from __future__ import annotations
 
 import numbers
+import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -82,8 +83,10 @@ class Mesh1D:
 def build_mesh(n: int, perturbation: float = 0.0, seed: int = 0) -> Mesh1D:
     """Uniform n-element mesh, optionally with seeded jitter at interior breakpoints.
 
-    Each interior breakpoint moves by at most ``perturbation * (2*pi/n)``;
-    perturbation must stay below 0.4 to preserve monotonicity.
+    Each interior breakpoint moves by ``(2u - 1) * perturbation * (2*pi/n)``,
+    with u drawn in turn from ``random.Random(seed)``, so by less than
+    ``perturbation * (2*pi/n)``; perturbation must stay below 0.4 to preserve
+    monotonicity.
     """
     if not _is_number(n, numbers.Integral) or n < 2:
         raise InvalidConfigError(f"element count must be an integer >= 2, got {n!r}")
@@ -95,16 +98,19 @@ def build_mesh(n: int, perturbation: float = 0.0, seed: int = 0) -> Mesh1D:
         )
     bp = np.linspace(0.0, DOMAIN_LENGTH, n + 1)
     if perturbation > 0.0:
-        rng = np.random.default_rng(seed)
-        jitter = rng.uniform(-1.0, 1.0, n - 1) * perturbation * (DOMAIN_LENGTH / n)
-        bp[1:-1] += jitter
+        # The standard library's generator: numpy.random would load secrets,
+        # hashlib and OpenSSL into the process for these n - 1 numbers.
+        rng = random.Random(int(seed))  # Random rejects numpy integers
+        h = DOMAIN_LENGTH / n
+        bp[1:-1] += [(2.0 * rng.random() - 1.0) * perturbation * h for _ in range(n - 1)]
     return Mesh1D(breakpoints=bp)
 
 
 class FluxCoefficient:
     """The coefficient alpha as an evaluable plus cached interface values/signs.
 
-    ``alpha`` must accept ndarray arguments.  Interface values within
+    ``alpha`` must accept ndarray arguments and return finite values of the
+    same shape.  Interface values within
     ``ZERO_SNAP`` of zero are snapped to exactly 0 and classified with the
     non-positive upwind branch; the wrap-around interface reuses the value at
     x = 0 so both ends of the periodic domain agree bitwise.
@@ -112,7 +118,11 @@ class FluxCoefficient:
 
     def __init__(self, alpha, mesh: Mesh1D):
         self.alpha = alpha
-        vals = np.asarray(alpha(mesh.breakpoints), dtype=float).copy()
+        vals = np.array(alpha(mesh.breakpoints), dtype=float)
+        if vals.shape != mesh.breakpoints.shape or not np.isfinite(vals).all():
+            raise InvalidConfigError(
+                "the flux coefficient must give a finite value at every breakpoint"
+            )
         vals[-1] = vals[0]  # periodic identification of x = 0 and x = 2*pi
         vals[np.abs(vals) <= ZERO_SNAP] = 0.0
         signs = np.sign(vals).astype(np.int8)

@@ -206,11 +206,15 @@ def interpolate(
 ) -> PiecewisePoly:
     """Element-by-element Lagrange interpolation of f onto the broken space.
 
-    ``f`` must accept ndarray arguments.  The result reproduces any piecewise
-    polynomial of degree <= k exactly.
+    ``f`` must accept ndarray arguments and return finite values of the same
+    shape.  The result reproduces any piecewise polynomial of degree <= k
+    exactly.
     """
     nodes = interpolation_nodes(partition, coeff, kind)
-    return _fit(np.asarray(f(nodes.x), dtype=float), nodes, partition)
+    values = np.asarray(f(nodes.x), dtype=float)
+    if values.shape != nodes.x.shape or not np.isfinite(values).all():
+        raise InvalidConfigError("the interpolated function must give a finite value at every node")
+    return _fit(values, nodes, partition)
 
 
 def _fit(values: np.ndarray, nodes: InterpNodes, partition: Partition) -> PiecewisePoly:

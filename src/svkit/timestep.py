@@ -23,8 +23,8 @@ def _all_finite(state) -> bool:
 
 def rk4_step(u, t: float, dt: float, rhs):
     """One classical RK4 step: stages at t, t+dt/2, t+dt/2, t+dt."""
-    if dt <= 0.0:
-        raise InvalidConfigError(f"time step must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise InvalidConfigError(f"time step must be positive and finite, got {dt}")
     half, t_half = 0.5 * dt, t + 0.5 * dt
     k1 = rhs(u, t)
     k2 = rhs(u + half * k1, t_half)

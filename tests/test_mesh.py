@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,29 @@ def test_perturbed_mesh_deterministic():
     np.testing.assert_array_equal(a.breakpoints, b.breakpoints)
 
 
+def test_jitter_is_drawn_from_the_standard_library_generator():
+    n, p = 16, 0.3
+    rng = random.Random(42)
+    expected = np.linspace(0.0, 2 * np.pi, n + 1)
+    expected[1:-1] += [(2.0 * rng.random() - 1.0) * p * (2 * np.pi / n) for _ in range(n - 1)]
+    np.testing.assert_array_equal(build_mesh(n, p, seed=42).breakpoints, expected)
+    np.testing.assert_array_equal(build_mesh(n).breakpoints, np.linspace(0.0, 2 * np.pi, n + 1))
+
+
+def test_jitter_stays_below_its_bound():
+    # Each jitter lies in [-p h, p h); adding it to a breakpoint and taking it
+    # back off again costs at most a rounding of 2*pi.
+    n, p = 64, 0.35
+    bound, slack = p * (2 * np.pi / n), 8e-16
+    uniform = np.linspace(0.0, 2 * np.pi, n + 1)
+    jitter = np.concatenate(
+        [build_mesh(n, p, seed=seed).breakpoints[1:-1] - uniform[1:-1] for seed in range(100)]
+    )
+    assert np.all(jitter >= -bound - slack) and np.all(jitter < bound + slack)
+    # The draws cover the interval, not one side of it.
+    assert jitter.min() < -0.99 * bound and jitter.max() > 0.99 * bound
+
+
 def test_bad_configs_rejected():
     with pytest.raises(InvalidConfigError):
         build_mesh(1)
@@ -59,11 +84,22 @@ def test_bad_configs_rejected():
     for perturbation in ("x", True, np.nan):
         with pytest.raises(InvalidConfigError):
             build_mesh(8, perturbation)
-    np.testing.assert_array_equal(
-        build_mesh(np.int64(8), 0.1, seed=2).breakpoints, build_mesh(8, 0.1, seed=2).breakpoints
-    )
+    for n, seed in ((np.int64(8), 2), (8, np.int64(2)), (np.int64(8), np.int64(2))):
+        np.testing.assert_array_equal(
+            build_mesh(n, 0.1, seed=seed).breakpoints, build_mesh(8, 0.1, seed=2).breakpoints
+        )
     with pytest.raises(InvalidConfigError):
         Mesh1D(np.array([0.0, 1.0, 2.0]))  # does not reach 2*pi
+    mesh = build_mesh(8)
+    for alpha in (
+        lambda x: 1.0,  # a scalar, not one value per breakpoint
+        lambda x: np.ones(x.size - 1),
+        lambda x: np.ones((x.size, 1)),
+        lambda x: np.where(x > 3.0, np.nan, np.sin(x)),
+        lambda x: np.full_like(x, np.inf),
+    ):
+        with pytest.raises(InvalidConfigError):
+            FluxCoefficient(alpha, mesh)
 
 
 def test_coefficient_cache_matches_direct():

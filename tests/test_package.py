@@ -5,15 +5,26 @@ import sys
 import svkit
 
 
-def test_import_does_not_load_scipy():
-    # A fresh interpreter, so modules imported by other tests do not count.
+def _loaded_after(statements: str, names: tuple[str, ...]) -> list[str]:
+    """Which of ``names`` a fresh interpreter holds in sys.modules after ``statements``.
+
+    A fresh interpreter, so modules imported by other tests do not count.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(svkit.__file__)))
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import svkit; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"import sys; sys.path.insert(0, {src!r}); import svkit; {statements}; "
+        f"print(*sorted(m for m in sys.modules if m in {names!r} or m.split('.')[0] in {names!r}))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_import_does_not_load_scipy():
+    assert _loaded_after("pass", ("scipy",)) == []
+
+
+def test_jittered_mesh_loads_neither_numpy_random_nor_openssl():
+    assert _loaded_after("svkit.build_mesh(16, 0.2, seed=3)", ("numpy.random", "_hashlib")) == []
 
 
 def test_every_exported_name_resolves():

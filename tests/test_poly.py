@@ -141,6 +141,21 @@ def test_auto_interpolant_needs_the_flux_coefficient():
         interpolation_nodes(part, None, InterpKind.AUTO)
 
 
+def test_interpolated_function_must_give_finite_values_of_the_nodes_shape():
+    mesh = build_mesh(6)
+    coeff = FluxCoefficient(np.sin, mesh)
+    part = build_partition(mesh, 2, Scheme.RSV, coeff)
+    for f in (
+        lambda x: 1.0,
+        lambda x: np.ones(x.size),
+        lambda x: np.ones(x.shape)[:, :-1],
+        lambda x: np.where(x > 3.0, np.nan, np.cos(x)),
+        lambda x: np.full_like(x, -np.inf),
+    ):
+        with pytest.raises(InvalidConfigError):
+            interpolate(f, part, coeff)
+
+
 def test_interpolation_matches_at_nodes():
     mesh = build_mesh(8, 0.15, seed=2)
     coeff = FluxCoefficient(np.sin, mesh)

@@ -75,8 +75,9 @@ def test_nonfinite_detection():
 def test_invalid_spans_rejected():
     with pytest.raises(InvalidConfigError):
         integrate_to(np.ones(2), 1.0, 0.5, 0.1, lambda u, t: u)
-    with pytest.raises(InvalidConfigError):
-        rk4_step(np.ones(2), 0.0, -0.1, lambda u, t: u)
+    for dt in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidConfigError):
+            rk4_step(np.ones(2), 0.0, dt, lambda u, t: u)
 
 
 @pytest.mark.parametrize(
