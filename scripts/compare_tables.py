@@ -56,20 +56,20 @@ FLOOR = 1e-9
 ORDER_DIGIT = 0.01
 
 
-def _close(x: float, y: float, floor: float, rtol: float) -> bool:
+def _close(x: float, y: float) -> bool:
     scale = max(abs(x), abs(y))
-    return math.isfinite(scale) and (scale < floor or abs(x - y) <= rtol * scale)
+    return math.isfinite(scale) and (scale < FLOOR or abs(x - y) <= RTOL * scale)
 
 
-def compare_csv(old: str, new: str, floor: float = FLOOR, rtol: float = RTOL) -> list[str]:
+def compare_csv(old: str, new: str) -> list[str]:
     """The cells of two ``scheme,k,n,T,metric,value,order`` tables that differ beyond tolerance.
 
     Rows must name the same (scheme, k, n, T, metric) in the same order.  Two
-    values match when their text is equal, when both lie below ``floor``, or
-    when they agree to ``rtol`` relative.  An order cell on the row at n comes
+    values match when their text is equal, when both lie below ``FLOOR``, or
+    when they agree to ``RTOL`` relative.  An order cell on the row at n comes
     from the errors at n and at the series' previous n; when all four lie at or
-    above ``floor`` it must agree to ``2 * rtol / ln(n / n_prev)`` (two errors
-    each off by ``rtol``) plus one printed digit, and is not compared otherwise.
+    above ``FLOOR`` it must agree to ``2 * RTOL / ln(n / n_prev)`` (two errors
+    each off by ``RTOL``) plus one printed digit, and is not compared otherwise.
     """
     old_rows, new_rows = list(csv.reader(old.splitlines())), list(csv.reader(new.splitlines()))
     if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
@@ -82,15 +82,15 @@ def compare_csv(old: str, new: str, floor: float = FLOOR, rtol: float = RTOL) ->
             continue
         name = ",".join(a[:5])
         x, y, n = float(a[5]), float(b[5]), float(a[2])
-        if a[5] != b[5] and not _close(x, y, floor, rtol):
+        if a[5] != b[5] and not _close(x, y):
             problems.append(f"{name} value {a[5]} -> {b[5]}")
         series = (a[0], a[1], a[3], a[4])
         if a[6] != b[6]:
             prev = previous.get(series)
             if not (a[6] and b[6] and prev):
                 problems.append(f"{name} order {a[6]!r} -> {b[6]!r}")
-            elif min(x, y, prev[1], prev[2]) >= floor:
-                tol = 2.0 * rtol / math.log(n / prev[0]) + ORDER_DIGIT
+            elif min(x, y, prev[1], prev[2]) >= FLOOR:
+                tol = 2.0 * RTOL / math.log(n / prev[0]) + ORDER_DIGIT
                 if abs(float(a[6]) - float(b[6])) > tol:
                     problems.append(f"{name} order {a[6]} -> {b[6]}")
         previous[series] = (n, x, y)
