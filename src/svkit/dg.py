@@ -23,11 +23,13 @@ class DGOperator(AffineOperator):
     """Precomputed upwind-DG right-hand side on a fixed mesh.
 
     The constructor folds the volume term, the two upwind interface traces and
-    the inverse mass matrix into one element-last block stencil, so a call is
-    one neighbour gather and one contraction (on a small mesh, one dense
-    product).  The source is projected with the volume term's Gauss rule:
-    one (k+3, k+1) map from the node samples to the modes serves every
-    element, as the element size cancels.
+    the inverse mass matrix into one compact element-last stencil over
+    [right trace of element i-1, the modes of element i, left trace of
+    element i+1], so a call is one trace lift, one neighbour gather and one
+    contraction (on a small mesh, one dense product).  The source is
+    projected with the volume term's Gauss rule: one (k+3, k+1) map from the
+    node samples to the modes serves every element, as the element size
+    cancels.
     """
 
     def __init__(self, mesh: Mesh1D, k: int, coeff: FluxCoefficient, source=None):
@@ -49,16 +51,18 @@ class DGOperator(AffineOperator):
         # flux times the test trace (-1)^m, minus the right-interface flux,
         # plus the volume term.  Each is linear in the element's upwind
         # weights and its alpha samples, so one product with fixed patterns
-        # builds every element.  The patterns' columns are (mode, side), the
-        # column order of the element-last stencil.
+        # builds every element.  The neighbours enter only through their
+        # traces, so the patterns' columns are those of the compact stencil:
+        # the right trace of element i-1, the modes of element i and the left
+        # trace of element i+1.
         rows = trace_rows(k)
-        patterns = np.zeros((4 + q, k + 1, k + 1, 3))
-        patterns[:2] = alt[:, None, None] * rows[:2, None]
+        patterns = np.zeros((4 + q, k + 1, k + 3))
+        patterns[:2] = alt[:, None] * rows[:2, None]
         patterns[2:4] = -rows[2:, None]
-        patterns[4:, :, :, 1] = wd[:, :, None] * basis[:, None, :]
-        patterns *= mode_scale[:, None, None]
+        patterns[4:, :, 1:-1] = wd[:, :, None] * basis[:, None, :]
+        patterns *= mode_scale[:, None]
         weights = np.column_stack([upwind_weights(coeff), a_quad]) / mesh.sizes[:, None]
-        stencil = (patterns.reshape(4 + q, -1).T @ weights.T).reshape(k + 1, 3 * (k + 1), n)
+        stencil = (patterns.reshape(4 + q, -1).T @ weights.T).reshape(k + 1, k + 3, n)
 
         # Source moments are the inverse mass (2m+1)/h times the element's
         # quadrature (h/2) sum_j w_j g(x_j) L_m(s_j); h cancels, so one

@@ -109,8 +109,8 @@ def build_mesh(n: int, perturbation: float = 0.0, seed: int = 0) -> Mesh1D:
 class FluxCoefficient:
     """The coefficient alpha as an evaluable plus cached interface values/signs.
 
-    ``alpha`` must accept ndarray arguments and return finite values of the
-    same shape.  Interface values within
+    ``alpha`` must accept ndarray arguments and return finite real values of
+    the same shape.  Interface values within
     ``ZERO_SNAP`` of zero are snapped to exactly 0 and classified with the
     non-positive upwind branch; the wrap-around interface reuses the value at
     x = 0 so both ends of the periodic domain agree bitwise.
@@ -118,11 +118,16 @@ class FluxCoefficient:
 
     def __init__(self, alpha, mesh: Mesh1D):
         self.alpha = alpha
-        vals = np.array(alpha(mesh.breakpoints), dtype=float)
-        if vals.shape != mesh.breakpoints.shape or not np.isfinite(vals).all():
+        vals = np.asarray(alpha(mesh.breakpoints))
+        if (
+            vals.dtype.kind == "c"
+            or vals.shape != mesh.breakpoints.shape
+            or not np.isfinite(vals).all()
+        ):
             raise InvalidConfigError(
-                "the flux coefficient must give a finite value at every breakpoint"
+                "the flux coefficient must give a finite real value at every breakpoint"
             )
+        vals = vals.astype(float)  # a copy: the snaps below must not reach alpha's array
         vals[-1] = vals[0]  # periodic identification of x = 0 and x = 2*pi
         vals[np.abs(vals) <= ZERO_SNAP] = 0.0
         signs = np.sign(vals).astype(np.int8)

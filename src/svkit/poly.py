@@ -206,15 +206,17 @@ def interpolate(
 ) -> PiecewisePoly:
     """Element-by-element Lagrange interpolation of f onto the broken space.
 
-    ``f`` must accept ndarray arguments and return finite values of the same
-    shape.  The result reproduces any piecewise polynomial of degree <= k
+    ``f`` must accept ndarray arguments and return finite real values of the
+    same shape.  The result reproduces any piecewise polynomial of degree <= k
     exactly.
     """
     nodes = interpolation_nodes(partition, coeff, kind)
-    values = np.asarray(f(nodes.x), dtype=float)
-    if values.shape != nodes.x.shape or not np.isfinite(values).all():
-        raise InvalidConfigError("the interpolated function must give a finite value at every node")
-    return _fit(values, nodes, partition)
+    values = np.asarray(f(nodes.x))
+    if values.dtype.kind == "c" or values.shape != nodes.x.shape or not np.isfinite(values).all():
+        raise InvalidConfigError(
+            "the interpolated function must give a finite real value at every node"
+        )
+    return _fit(values.astype(float, copy=False), nodes, partition)
 
 
 def _fit(values: np.ndarray, nodes: InterpNodes, partition: Partition) -> PiecewisePoly:

@@ -5,14 +5,18 @@ volumes.  Fluxes at interior control-volume faces use the single-valued
 in-element polynomial; fluxes at element interfaces use the upwind trace.  The
 degree-k polynomial is recovered from its k+1 control-volume integrals by its
 rule's reference inverse.  The result is linear in the state and couples each
-element only to its two neighbours, so the operator is built once as a block
-stencil over [c_{i-1}, c_i, c_{i+1}].
+element to its two neighbours only through the upwind traces at its two
+interfaces, so the operator is built once as a compact block stencil over
+[right trace of c_{i-1}, c_i, left trace of c_{i+1}].
 
 Layout: the stencil and the source nodes keep the element index last, so
 every product is a contraction whose innermost loop runs over the
 elements; an element-stacked ``np.matmul`` would instead make one small BLAS
-call per element.  A stencil is a C-contiguous (k+1, 3(k+1), N) array whose
-columns are ordered (mode, side), side running over [i-1, i, i+1].
+call per element.  A stencil is a C-contiguous (k+1, k+3, N) array.  Its
+columns are the right trace (mode sum) of element i-1, the k+1 modes of
+element i and the left trace (alternating sum) of element i+1: each
+neighbour block of the full (k+1, 3(k+1)) element matrix is rank 1, a
+column times the trace row, and the stencil keeps only that column.
 
 This operator and the DG one of :mod:`svkit.dg` build only their stencils and
 source projections; :class:`AffineOperator` applies both.  On a small mesh it
@@ -109,42 +113,54 @@ def upwind_weights(coeff: FluxCoefficient) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def trace_rows(k: int) -> np.ndarray:
-    """(4, k+1, 3) one-sided traces as rows over (mode, side), read-only.
+def _lift(k: int) -> np.ndarray:
+    """(k+1, k+3) matrix [ones | I | alt] from an element's modes to its stencil entries, read-only.
 
-    The rows are the right trace (mode sum) of element i-1, the left trace
-    (alternating sum) of element i, the right trace of element i and the left
-    trace of element i+1.
+    A row of coefficients times it is the element's right trace (mode sum),
+    its k+1 modes and its left trace (alternating sum).
     """
-    rows = np.zeros((4, k + 1, 3))
-    rows[0, :, 0] = 1.0
-    rows[1, :, 1] = (-1.0) ** np.arange(k + 1)
-    rows[2, :, 1] = 1.0
-    rows[3, :, 2] = rows[1, :, 1]
+    alt = (-1.0) ** np.arange(k + 1)
+    matrix = np.column_stack([np.ones(k + 1), np.eye(k + 1), alt])
+    matrix.setflags(write=False)
+    return matrix
+
+
+@lru_cache(maxsize=None)
+def trace_rows(k: int) -> np.ndarray:
+    """(4, k+3) one-sided traces as rows over the compact stencil columns, read-only.
+
+    The rows are the right trace of element i-1 (its column), the left trace
+    (alternating sum) of element i, the right trace (mode sum) of element i
+    and the left trace of element i+1 (its column).
+    """
+    rows = np.zeros((4, k + 3))
+    rows[0, 0] = 1.0
+    rows[1, 1:-1] = _lift(k)[:, -1]
+    rows[2, 1:-1] = 1.0
+    rows[3, -1] = 1.0
     rows.setflags(write=False)
     return rows
 
 
 @lru_cache(maxsize=None)
 def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
-    """((k+1) * 3(k+1), k+4) reference stencils of one rule kind, per unit weight, read-only.
+    """((k+1)(k+3), k+4) reference stencils of one rule kind, per unit weight, read-only.
 
     The weights are the four columns of :func:`upwind_weights`, then alpha at
     the k interior CV faces.  For each, the flux at every CV face is a row
-    over (mode, side) (interior faces: the element's own Legendre modes), and
-    the pattern is the CV inverse times the face differences.  The patterns
-    are stored transposed, one row per stencil entry, so that their product
-    with the (k+4, N) weights is an element-last stencil.
+    over the compact stencil columns (interior faces: the element's own
+    Legendre modes), and the pattern is the CV inverse times the face
+    differences.  The patterns are stored transposed, one row per stencil
+    entry, so that their product with the (k+4, N) weights is an element-last
+    stencil.
     """
-    m = k + 1
-    faces = np.zeros((k + 4, k + 2, m, 3))
+    faces = np.zeros((k + 4, k + 2, k + 3))
     rows = trace_rows(k)
     faces[:2, 0] = rows[:2]
     faces[2:4, -1] = rows[2:]
     interior = make_rule(kind, k).points[1 : k + 1]
-    faces[4 + np.arange(k), 1 + np.arange(k), :, 1] = legendre_basis(k, interior)
-    faces = faces.reshape(k + 4, k + 2, 3 * m)
-    patterns = cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])  # (k+4, m, 3m)
+    faces[4 + np.arange(k), 1 + np.arange(k), 1:-1] = legendre_basis(k, interior)
+    patterns = cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])  # (k+4, k+1, k+3)
     patterns_t = np.ascontiguousarray(patterns.transpose(1, 2, 0)).reshape(-1, k + 4)
     patterns_t.setflags(write=False)
     return patterns_t
@@ -170,29 +186,38 @@ def _sv_source_map(kind: RuleKind, k: int) -> np.ndarray:
 
 # The largest M = N(k+1) at which A is applied as one dense (M, M) matrix.  On
 # small meshes a call is NumPy overhead, not flops, and one matrix-vector
-# product costs less than the gather, the contraction and the transposed copy;
-# the M^2 product catches up as M grows.  In BENCH_dense_apply.json
-# (scripts/time_apply.py, one thread) the dense path took at most 0.57 of the
-# stencil path's time at every grid point with M <= 156, up to 0.87 at
-# M = 192-208 and up to 1.23 at M = 256.  The switch keeps the clear wins.
+# product costs less than the lift, the gather, the contraction and the
+# transposed copy; the M^2 product catches up as M grows.  In
+# BENCH_dense_apply.json (scripts/time_apply.py, one thread) the dense path
+# took at most 0.67 of the compact stencil path's time at every grid point
+# with M <= 128, up to 0.79 at M = 144-156, up to 1.13 at M = 192-208 and up
+# to 1.74 at M = 256.  The switch keeps the clear wins.
 _DENSE_MAX_UNKNOWNS = 128
 
 
-def _dense_matrix(stencil: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """(M, M) matrix of the element-last ``stencil`` over the flat coefficients, read-only.
+def _dense_matrix(stencil: np.ndarray) -> np.ndarray:
+    """(M, M) matrix of the compact element-last ``stencil`` over the flat coefficients, read-only.
 
-    Entry (i(k+1) + m, gather[j, i]) is stencil[m, j, i].  With fewer than
-    three elements a neighbour is also the element itself or its other
-    neighbour, so those entries alias and are summed.
+    The stencil is first expanded to its full (k+1, 3(k+1), N) blocks, the
+    columns running over the modes of elements i-1, i and i+1: the left block
+    is the left column times 1 for every mode, the right block the right
+    column times (-1)^mode, so both are exact.  Entry (i(k+1) + m,
+    (i-1+s)(k+1) + j) is then block s's entry (m, j) of element i.  With
+    fewer than three elements a neighbour is also the element itself or its
+    other neighbour, so those entries alias and are summed.
     """
     m, _, n = stencil.shape
-    rows = (np.arange(n) * m + np.arange(m)[:, None])[:, None, :]  # (k+1, 1, N)
-    cols = gather[None]                                             # (1, 3(k+1), N)
+    left, right = np.repeat(stencil[:, :1], m, axis=1), stencil[:, -1:] * _lift(m - 1)[:, -1:]
+    full = np.concatenate([left, stencil[:, 1:-1], right], axis=1)  # (k+1, 3(k+1), N)
+    i = np.arange(n)
+    nbr = np.stack([(i - 1) % n, i, (i + 1) % n])[:, None, :]            # (3, 1, N)
+    cols = (nbr * m + np.arange(m)[:, None]).reshape(1, 3 * m, n)         # (1, 3(k+1), N)
+    rows = (i * m + np.arange(m)[:, None])[:, None, :]                    # (k+1, 1, N)
     dense = np.zeros((n * m, n * m))
     if n >= 3:
-        dense[rows, cols] = stencil
+        dense[rows, cols] = full
     else:
-        np.add.at(dense, (rows, cols), stencil)
+        np.add.at(dense, (rows, cols), full)
     dense.setflags(write=False)
     return dense
 
@@ -200,7 +225,7 @@ def _dense_matrix(stencil: np.ndarray, gather: np.ndarray) -> np.ndarray:
 class AffineOperator:
     """du/dt = A u + s(t) on a fixed mesh: an element-last block stencil A and a memoised source s.
 
-    The spectral-volume and DG operators differ only in the (k+1, 3(k+1), N)
+    The spectral-volume and DG operators differ only in the (k+1, k+3, N)
     ``stencil`` and in how the source g is projected onto each element, so
     each builds those arrays and hands them here.  g is sampled on frozen
     (P, N) ``nodes``, the same P reference points in every element of a rule
@@ -221,16 +246,18 @@ class AffineOperator:
         self.source = source
         stencil.setflags(write=False)
         self._stencil = stencil
-        # Row 3m + s of the gather holds the flat index in c of mode m of
-        # element i - 1 + s on the periodic mesh: the stencil's column order.
+        # Row j of the gather holds the flat index, in the (N, k+3) lifted
+        # coefficients c·_lift(k), of column j of element i's stencil: entry 0
+        # of element i - 1, entry j of element i, entry k+2 of element i + 1.
         n = mesh.n_elements
         i = np.arange(n)
-        nbr = np.stack([(i - 1) % n, i, (i + 1) % n])  # (3, N)
-        self._gather = (nbr * (k + 1) + np.arange(k + 1)[:, None, None]).reshape(3 * (k + 1), n)
+        nbr = np.vstack([(i - 1) % n, np.broadcast_to(i, (k + 1, n)), (i + 1) % n])  # (k+3, N)
+        self._lift = _lift(k)
+        self._gather = nbr * (k + 3) + np.arange(k + 3)[:, None]
         self._gather.setflags(write=False)
         self._dense = None
         if n * (k + 1) <= _DENSE_MAX_UNKNOWNS:
-            self._dense = _dense_matrix(stencil, self._gather)
+            self._dense = _dense_matrix(stencil)
         if source is not None:
             nodes.setflags(write=False)  # lets a source memoise per-node factors
             source_map.setflags(write=False)
@@ -243,7 +270,9 @@ class AffineOperator:
         """(N, k+1) source term at time t; the last one is kept, as RK4 asks for each t twice."""
         if self._src_memo is not None and self._src_memo[0] == t:
             return self._src_memo[1]
-        g = np.asarray(self.source(self._src_x, t), dtype=float)
+        g = np.asarray(self.source(self._src_x, t))
+        if g.shape != self._src_x.shape or g.dtype.kind == "c":
+            raise InvalidConfigError("the source must give a real value at every source node")
         term = g.T.dot(self._src_map).reshape(-1, self.k + 1).take(self._src_rows, axis=0)
         self._src_memo = (t, term)
         return term
@@ -252,15 +281,16 @@ class AffineOperator:
         """(N, k+1) coefficients of A c + s(t) for the (N, k+1) coefficients c.
 
         Two paths, one A.  On a small mesh, one product of the dense matrix
-        with the flattened c.  Otherwise one flat take of ``c`` yields the
-        neighbours ordered (mode, side, element), so A c is one contraction
-        over the middle axis with the elements innermost, then one contiguous
-        copy of the transpose.
+        with the flattened c.  Otherwise c·_lift(k) holds each element's right
+        trace, modes and left trace, one flat take of it yields the stencil's
+        columns ordered (column, element), so A c is one contraction over the
+        middle axis with the elements innermost, then one contiguous copy of
+        the transpose.
         """
         if self._dense is not None:
             out = self._dense.dot(c.ravel()).reshape(c.shape)
         else:
-            gathered = c.take(self._gather)
+            gathered = c.dot(self._lift).take(self._gather)
             out = np.ascontiguousarray(np.einsum("ijn,jn->in", self._stencil, gathered).T)
         if self.source is not None:
             out += self._source_term(t)
@@ -271,9 +301,10 @@ class SVOperator(AffineOperator):
     """Precomputed spectral-volume right-hand side for a fixed partition.
 
     The constructor folds the upwind interface fluxes, the interior-face
-    fluxes and each element's control-volume inverse into one element-last
-    block stencil, so a call is one neighbour gather and one contraction
-    (on a small mesh, one dense product) whatever the elements' rule kinds.
+    fluxes and each element's control-volume inverse into one compact
+    element-last stencil, so a call is one trace lift, one neighbour gather
+    and one contraction (on a small mesh, one dense product) whatever the
+    elements' rule kinds.
     The source is integrated over each control volume by (k+2)-point Gauss
     and recovered by the CV inverse: per rule kind one fixed map from the
     (k+1)(k+2) node samples to the modes, as the element size cancels.
@@ -308,7 +339,7 @@ class SVOperator(AffineOperator):
         stencil = _sv_patterns(RULE_KINDS[first], k) @ (weights.T * (codes == first))
         for code in others:
             stencil += _sv_patterns(RULE_KINDS[code], k) @ (weights.T * (codes == code))
-        stencil = stencil.reshape(k + 1, 3 * (k + 1), n)
+        stencil = stencil.reshape(k + 1, k + 3, n)
 
         nodes = source_map = rows = None
         if source is not None:

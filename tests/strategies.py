@@ -7,6 +7,21 @@ from svkit.mesh import FluxCoefficient, build_mesh
 
 
 @st.composite
+def meshes(draw, max_elements=24):
+    """A periodic mesh of 4 to ``max_elements`` elements with up to 35% jitter."""
+    n = draw(st.integers(4, max_elements))
+    return build_mesh(n, draw(st.floats(0.0, 0.35)), seed=draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def constant_coefficients(draw):
+    """A drawn mesh and a constant alpha of either sign, |alpha| in [0.1, 4]."""
+    mesh = draw(meshes())
+    value = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 4.0))
+    return mesh, FluxCoefficient(lambda x: np.full_like(x, value), mesh)
+
+
+@st.composite
 def breakpoint_zero_coefficients(draw):
     """A jittered mesh and a trigonometric alpha that vanishes exactly on some breakpoints.
 
@@ -15,8 +30,8 @@ def breakpoint_zero_coefficients(draw):
     breakpoint drawn twice is a double zero, where alpha touches 0 without
     changing sign.
     """
-    n = draw(st.integers(4, 24))
-    mesh = build_mesh(n, draw(st.floats(0.0, 0.35)), seed=draw(st.integers(0, 2**16)))
+    mesh = draw(meshes())
+    n = mesh.n_elements
     pairs = draw(st.integers(1, 2))
     idx = draw(st.lists(st.integers(0, n - 1), min_size=2 * pairs, max_size=2 * pairs))
     zeros = mesh.breakpoints[idx]

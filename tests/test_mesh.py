@@ -97,6 +97,8 @@ def test_bad_configs_rejected():
         lambda x: np.ones((x.size, 1)),
         lambda x: np.where(x > 3.0, np.nan, np.sin(x)),
         lambda x: np.full_like(x, np.inf),
+        lambda x: np.sin(x) + 1j,  # complex: its imaginary part would be dropped
+        lambda x: np.sin(x).astype(complex),
     ):
         with pytest.raises(InvalidConfigError):
             FluxCoefficient(alpha, mesh)

@@ -141,7 +141,7 @@ def test_auto_interpolant_needs_the_flux_coefficient():
         interpolation_nodes(part, None, InterpKind.AUTO)
 
 
-def test_interpolated_function_must_give_finite_values_of_the_nodes_shape():
+def test_interpolated_function_must_give_finite_real_values_of_the_nodes_shape():
     mesh = build_mesh(6)
     coeff = FluxCoefficient(np.sin, mesh)
     part = build_partition(mesh, 2, Scheme.RSV, coeff)
@@ -151,6 +151,8 @@ def test_interpolated_function_must_give_finite_values_of_the_nodes_shape():
         lambda x: np.ones(x.shape)[:, :-1],
         lambda x: np.where(x > 3.0, np.nan, np.cos(x)),
         lambda x: np.full_like(x, -np.inf),
+        lambda x: np.exp(1j * x),
+        lambda x: np.cos(x).astype(complex),
     ):
         with pytest.raises(InvalidConfigError):
             interpolate(f, part, coeff)

@@ -15,14 +15,13 @@ from svkit.poly import (
     interpolation_nodes,
     triple_norm,
 )
-from svkit.quadrature import RULE_KINDS, RuleKind, gauss_panel, make_rule
+from svkit.quadrature import RULE_KINDS, RuleKind, gauss_panel, legendre_basis, make_rule
 from svkit.sv import (
     _DENSE_MAX_UNKNOWNS,
     SOURCE_QUAD_EXTRA,
     SchemeConfig,
     SVOperator,
     _dense_matrix,
-    _sv_patterns,
     _sv_source_map,
     cv_matrix,
     upwind_weights,
@@ -429,9 +428,42 @@ def test_source_node_memo_matches_fresh_evaluation(scheme, k):
 
 
 def _element_stacked(stencil):
-    """(N, k+1, 3(k+1)) stencil, columns (side, mode), rebuilt from an element-last one."""
+    """(N, k+1, 3(k+1)) full per-element blocks, columns (side, mode), of a compact stencil.
+
+    Element i meets element i-1 only through its right trace, the sum of its
+    modes, and element i+1 only through its left trace, their alternating
+    sum: each neighbour block is the stencil's column times that trace row.
+    """
     m, _, n = stencil.shape
-    return stencil.reshape(m, m, 3, n).transpose(3, 0, 2, 1).reshape(n, m, 3 * m)
+    per_element = stencil.transpose(2, 0, 1)  # (N, k+1, k+3)
+    right_trace, left_trace = np.ones(m), (-1.0) ** np.arange(m)
+    return np.concatenate(
+        [
+            per_element[:, :, :1] * right_trace,
+            per_element[:, :, 1 : m + 1],
+            per_element[:, :, m + 1 :] * left_trace,
+        ],
+        axis=2,
+    )
+
+
+def _full_sv_patterns(kind, k):
+    """((k+1) * 3(k+1), k+4) SV patterns over full neighbour columns (side, mode).
+
+    Built as the operator's patterns are, but with every face flux a row over
+    all modes of elements i-1, i and i+1.
+    """
+    m = k + 1
+    faces = np.zeros((k + 4, k + 2, 3, m))
+    faces[0, 0, 0] = 1.0                      # right trace of element i-1
+    faces[1, 0, 1] = (-1.0) ** np.arange(m)   # left trace of element i
+    faces[2, -1, 1] = 1.0                     # right trace of element i
+    faces[3, -1, 2] = (-1.0) ** np.arange(m)  # left trace of element i+1
+    interior = make_rule(kind, k).points[1 : k + 1]
+    faces[4 + np.arange(k), 1 + np.arange(k), 1] = legendre_basis(k, interior)
+    faces = faces.reshape(k + 4, k + 2, 3 * m)
+    patterns = cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])  # (k+4, m, 3m)
+    return patterns.transpose(1, 2, 0).reshape(-1, k + 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,8 +483,10 @@ def test_apply_stencil_matches_element_stacked_matmul(n, jitter, seed, k, scheme
     else:
         variant = Scheme(scheme)
         op = SVOperator(SchemeConfig(k, variant), build_partition(mesh, k, variant, coeff), coeff)
-    assert op._stencil.shape == (k + 1, 3 * (k + 1), n)
+    # Only the compact stencil and its (k+3)-row gather are kept.
+    assert op._stencil.shape == (k + 1, k + 3, n)
     assert op._stencil.flags.c_contiguous and not op._stencil.flags.writeable
+    assert op._gather.shape == (k + 3, n)
     c = np.random.default_rng(seed).standard_normal((n, k + 1))
 
     out = op.apply(c, 0.0)
@@ -481,20 +515,22 @@ def test_stencil_matches_masked_build(scheme, alpha, n, k):
     part = build_partition(mesh, k, scheme, coeff)
     op = SVOperator(SchemeConfig(k, scheme), part, coeff)
 
-    # Gather each kind's elements, multiply, scatter back.
+    # Full per-element blocks: gather each kind's elements, multiply, scatter back.
     a_int = coeff.alpha(part.subpoints[:, 1 : k + 1])
     weights = np.column_stack([upwind_weights(coeff), a_int]) * (2.0 / mesh.sizes)[:, None]
     masked = np.empty((k + 1, 3 * (k + 1), n))
     scale = np.empty_like(masked)
     for code in set(part.kinds):
         mask = part.kinds == code
-        patterns = _sv_patterns(RULE_KINDS[code], k)
+        patterns = _full_sv_patterns(RULE_KINDS[code], k)
         masked.reshape(-1, n)[:, mask] = patterns @ weights[mask].T
         scale.reshape(-1, n)[:, mask] = np.abs(patterns) @ np.abs(weights[mask]).T
+    masked, scale = masked.transpose(2, 0, 1), scale.transpose(2, 0, 1)
+    expanded = _element_stacked(op._stencil)
     if len(set(part.kinds)) == 1:
-        assert np.array_equal(op._stencil, masked)
+        assert np.array_equal(expanded, masked)
     else:  # the per-kind products sum exact zeros, but BLAS may round differently
-        assert np.all(np.abs(op._stencil - masked) <= 1e-14 * scale)
+        assert np.all(np.abs(expanded - masked) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize("example", [1, 2])
@@ -541,6 +577,30 @@ def test_source_maps_are_read_only(scheme, k):
         assert not _sv_source_map(kind, k).flags.writeable
 
 
+@pytest.mark.parametrize("scheme", ["rsv", "lsv", "dg"])
+@pytest.mark.parametrize(
+    "source",
+    [
+        lambda x, t: 1.0,  # a scalar, not one value per node
+        lambda x, t: np.ones(x.shape[-1]),  # one value per element
+        lambda x, t: np.sin(x - t)[:-1],
+        lambda x, t: np.sin(x - t) + 1j,  # complex: its imaginary part would be dropped
+        lambda x, t: np.sin(x - t).astype(complex),
+    ],
+)
+def test_source_must_give_real_values_of_the_nodes_shape(scheme, source):
+    mesh = build_mesh(8)
+    coeff = FluxCoefficient(np.sin, mesh)
+    if scheme == "dg":
+        op = DGOperator(mesh, 1, coeff, source)
+    else:
+        variant = Scheme(scheme)
+        part = build_partition(mesh, 1, variant, coeff)
+        op = SVOperator(SchemeConfig(1, variant), part, coeff, source)
+    with pytest.raises(InvalidConfigError):
+        op.apply(np.zeros((8, 2)), 0.0)
+
+
 # -- dense apply on small meshes against the stencil that defines it ---------------
 
 
@@ -560,7 +620,7 @@ def _case_operator(scheme, example, n, k, jitter, seed, with_source):
 def _with_path(op, dense):
     """A shallow copy of op that applies its dense matrix (True) or its stencil (False)."""
     twin = copy.copy(op)
-    twin._dense = _dense_matrix(op._stencil, op._gather) if dense else None
+    twin._dense = _dense_matrix(op._stencil) if dense else None
     return twin
 
 
