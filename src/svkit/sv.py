@@ -195,29 +195,23 @@ def _sv_source_map(kind: RuleKind, k: int) -> np.ndarray:
 _DENSE_MAX_UNKNOWNS = 128
 
 
-def _dense_matrix(stencil: np.ndarray) -> np.ndarray:
+def _dense_matrix(stencil: np.ndarray, gather: np.ndarray) -> np.ndarray:
     """(M, M) matrix of the compact element-last ``stencil`` over the flat coefficients, read-only.
 
-    The stencil is first expanded to its full (k+1, 3(k+1), N) blocks, the
-    columns running over the modes of elements i-1, i and i+1: the left block
-    is the left column times 1 for every mode, the right block the right
-    column times (-1)^mode, so both are exact.  Entry (i(k+1) + m,
-    (i-1+s)(k+1) + j) is then block s's entry (m, j) of element i.  With
-    fewer than three elements a neighbour is also the element itself or its
-    other neighbour, so those entries alias and are summed.
+    The stencil path multiplies the stencil by the ``gather`` of the lifted
+    coefficients c·_lift(k), so A is the (M, N(k+3)) matrix with entry
+    (i(k+1) + m, gather[j, i]) = stencil[m, j, i] times the block-diagonal
+    lift.  That product expands the compact columns to full blocks: the left
+    column times 1 for every mode, the right column times (-1)^mode.  Each
+    entry is one exact product plus exact zeros, so A is what the full blocks
+    give.  On a two-element mesh both neighbours are one element, and an
+    entry is the sum of its two blocks' entries, rounded once.
     """
-    m, _, n = stencil.shape
-    left, right = np.repeat(stencil[:, :1], m, axis=1), stencil[:, -1:] * _lift(m - 1)[:, -1:]
-    full = np.concatenate([left, stencil[:, 1:-1], right], axis=1)  # (k+1, 3(k+1), N)
-    i = np.arange(n)
-    nbr = np.stack([(i - 1) % n, i, (i + 1) % n])[:, None, :]            # (3, 1, N)
-    cols = (nbr * m + np.arange(m)[:, None]).reshape(1, 3 * m, n)         # (1, 3(k+1), N)
-    rows = (i * m + np.arange(m)[:, None])[:, None, :]                    # (k+1, 1, N)
-    dense = np.zeros((n * m, n * m))
-    if n >= 3:
-        dense[rows, cols] = full
-    else:
-        np.add.at(dense, (rows, cols), full)
+    m, w, n = stencil.shape
+    rows = (np.arange(n) * m + np.arange(m)[:, None])[:, None, :]  # (k+1, 1, N)
+    lifted = np.zeros((n * m, n * w))
+    lifted[rows, gather[None]] = stencil
+    dense = (lifted.reshape(-1, w) @ _lift(m - 1).T).reshape(n * m, n * m)
     dense.setflags(write=False)
     return dense
 
@@ -250,14 +244,14 @@ class AffineOperator:
         # coefficients c·_lift(k), of column j of element i's stencil: entry 0
         # of element i - 1, entry j of element i, entry k+2 of element i + 1.
         n = mesh.n_elements
-        i = np.arange(n)
-        nbr = np.vstack([(i - 1) % n, np.broadcast_to(i, (k + 1, n)), (i + 1) % n])  # (k+3, N)
+        shift = np.zeros((k + 3, 1), dtype=np.intp)
+        shift[0], shift[-1] = -1, 1
         self._lift = _lift(k)
-        self._gather = nbr * (k + 3) + np.arange(k + 3)[:, None]
+        self._gather = (np.arange(n) + shift) % n * (k + 3) + np.arange(k + 3)[:, None]
         self._gather.setflags(write=False)
         self._dense = None
         if n * (k + 1) <= _DENSE_MAX_UNKNOWNS:
-            self._dense = _dense_matrix(stencil)
+            self._dense = _dense_matrix(stencil, self._gather)
         if source is not None:
             nodes.setflags(write=False)  # lets a source memoise per-node factors
             source_map.setflags(write=False)

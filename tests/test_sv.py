@@ -581,11 +581,11 @@ def test_source_maps_are_read_only(scheme, k):
 @pytest.mark.parametrize(
     "source",
     [
-        lambda x, t: 1.0,  # a scalar, not one value per node
-        lambda x, t: np.ones(x.shape[-1]),  # one value per element
-        lambda x, t: np.sin(x - t)[:-1],
-        lambda x, t: np.sin(x - t) + 1j,  # complex: its imaginary part would be dropped
-        lambda x, t: np.sin(x - t).astype(complex),
+        pytest.param(lambda x, t: 1.0, id="scalar"),
+        pytest.param(lambda x, t: np.ones(x.shape[-1]), id="one-per-element"),
+        pytest.param(lambda x, t: np.sin(x - t)[:-1], id="row-short"),
+        pytest.param(lambda x, t: np.sin(x - t) + 1j, id="complex"),
+        pytest.param(lambda x, t: np.sin(x - t).astype(complex), id="complex-dtype"),
     ],
 )
 def test_source_must_give_real_values_of_the_nodes_shape(scheme, source):
@@ -620,7 +620,7 @@ def _case_operator(scheme, example, n, k, jitter, seed, with_source):
 def _with_path(op, dense):
     """A shallow copy of op that applies its dense matrix (True) or its stencil (False)."""
     twin = copy.copy(op)
-    twin._dense = _dense_matrix(op._stencil) if dense else None
+    twin._dense = _dense_matrix(op._stencil, op._gather) if dense else None
     return twin
 
 
