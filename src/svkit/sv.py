@@ -189,9 +189,10 @@ def _sv_source_map(kind: RuleKind, k: int) -> np.ndarray:
 # product costs less than the lift, the gather, the contraction and the
 # transposed copy; the M^2 product catches up as M grows.  In
 # BENCH_dense_apply.json (scripts/time_apply.py, one thread) the dense path
-# took at most 0.67 of the compact stencil path's time at every grid point
-# with M <= 128, up to 0.79 at M = 144-156, up to 1.13 at M = 192-208 and up
-# to 1.74 at M = 256.  The switch keeps the clear wins.
+# took at most 0.55 of the compact stencil path's time at every grid point
+# with M <= 128, 0.57 at M = 144-156, 0.87 at M = 192-208 and 1.33 at
+# M = 256.  Over four runs of the grid the worst ratio at M = 192-208 ranged
+# over 0.87-1.17.  The switch keeps the clear wins.
 _DENSE_MAX_UNKNOWNS = 128
 
 
