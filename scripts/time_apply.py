@@ -66,7 +66,7 @@ def _spread(values: list[float]) -> dict:
 
 def time_point(k: int, n: int) -> dict:
     op = _operator(k, n)
-    dense = sv._dense_matrix(op._stencil, op._gather)
+    dense = sv._dense_matrix(op._stencil)
     c = np.random.default_rng(k * 1000 + n).standard_normal((n, k + 1))
     paths = {"stencil": None, "dense": dense}
     times = {name: [] for name in paths}

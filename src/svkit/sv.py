@@ -196,23 +196,23 @@ def _sv_source_map(kind: RuleKind, k: int) -> np.ndarray:
 _DENSE_MAX_UNKNOWNS = 128
 
 
-def _dense_matrix(stencil: np.ndarray, gather: np.ndarray) -> np.ndarray:
+def _dense_matrix(stencil: np.ndarray) -> np.ndarray:
     """(M, M) matrix of the compact element-last ``stencil`` over the flat coefficients, read-only.
 
-    The stencil path multiplies the stencil by the ``gather`` of the lifted
-    coefficients c·_lift(k), so A is the (M, N(k+3)) matrix with entry
-    (i(k+1) + m, gather[j, i]) = stencil[m, j, i] times the block-diagonal
-    lift.  That product expands the compact columns to full blocks: the left
-    column times 1 for every mode, the right column times (-1)^mode.  Each
-    entry is one exact product plus exact zeros, so A is what the full blocks
-    give.  On a two-element mesh both neighbours are one element, and an
-    entry is the sum of its two blocks' entries, rounded once.
+    Row i(k+1) + m holds row m of element i's stencil expanded to full
+    blocks: the own columns over the modes of element i, the left column
+    times 1 over every mode of element i-1 and the right column times
+    (-1)^mode over the modes of element i+1.  Both products are exact.  On a
+    two-element mesh both neighbours are one element, so the right-column
+    block is added to the left-column one, rounded once.
     """
-    m, w, n = stencil.shape
-    rows = (np.arange(n) * m + np.arange(m)[:, None])[:, None, :]  # (k+1, 1, N)
-    lifted = np.zeros((n * m, n * w))
-    lifted[rows, gather[None]] = stencil
-    dense = (lifted.reshape(-1, w) @ _lift(m - 1).T).reshape(n * m, n * m)
+    m, _, n = stencil.shape
+    own = (np.arange(n) * m + np.arange(m)[:, None])[None]  # (1, k+1, N): mode j of element i
+    rows = own.transpose(1, 0, 2)                            # (k+1, 1, N)
+    dense = np.zeros((n * m, n * m))
+    dense[rows, own] = stencil[:, 1:-1]
+    dense[rows, (own - m) % (n * m)] = stencil[:, :1]
+    dense[rows, (own + m) % (n * m)] += stencil[:, -1:] * _lift(m - 1)[:, -1:]
     dense.setflags(write=False)
     return dense
 
@@ -252,7 +252,7 @@ class AffineOperator:
         self._gather.setflags(write=False)
         self._dense = None
         if n * (k + 1) <= _DENSE_MAX_UNKNOWNS:
-            self._dense = _dense_matrix(stencil, self._gather)
+            self._dense = _dense_matrix(stencil)
         if source is not None:
             nodes.setflags(write=False)  # lets a source memoise per-node factors
             source_map.setflags(write=False)

@@ -7,9 +7,9 @@ from svkit.mesh import FluxCoefficient, build_mesh
 
 
 @st.composite
-def meshes(draw, max_elements=24):
-    """A periodic mesh of 4 to ``max_elements`` elements with up to 35% jitter."""
-    n = draw(st.integers(4, max_elements))
+def meshes(draw):
+    """A periodic mesh of 4 to 24 elements with up to 35% jitter."""
+    n = draw(st.integers(4, 24))
     return build_mesh(n, draw(st.floats(0.0, 0.35)), seed=draw(st.integers(0, 2**16)))
 
 

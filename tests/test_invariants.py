@@ -30,7 +30,7 @@ def _operator(scheme, mesh, coeff, k):
 
 def _on_both_paths(op, c):
     """A c by the dense matrix, by the stencil, and |A|·|c|, each (N, k+1)."""
-    dense = _dense_matrix(op._stencil, op._gather)
+    dense = _dense_matrix(op._stencil)
     outs = []
     for path in (dense, None):
         twin = copy.copy(op)

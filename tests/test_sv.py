@@ -620,7 +620,7 @@ def _case_operator(scheme, example, n, k, jitter, seed, with_source):
 def _with_path(op, dense):
     """A shallow copy of op that applies its dense matrix (True) or its stencil (False)."""
     twin = copy.copy(op)
-    twin._dense = _dense_matrix(op._stencil, op._gather) if dense else None
+    twin._dense = _dense_matrix(op._stencil) if dense else None
     return twin
 
 
