@@ -1,9 +1,13 @@
 """The operators' invariants on drawn meshes and coefficients, on both apply paths.
 
 Each draw builds an operator and applies it to random coefficients once
-through its dense matrix and once through its compact stencil, whichever of
-the two its size would pick.  Every residual is measured against |A|·|c|,
-the size of the products that the rounding acts on.
+through its dense matrix and once through its compact stencil, whichever
+path its size would pick.  An element's residuals are measured against the
+largest entry of |A|·|c| in its rows, the size of the flux terms that the
+rounding acts on; its mean-mode row alone can cancel to nearly zero, as
+when alpha vanishes on every breakpoint.  The bounds sit more than ten
+times above the largest residuals of 1,500 random draws of both kinds of
+alpha (k up to 12, n up to 24).
 """
 
 import copy
@@ -29,14 +33,15 @@ def _operator(scheme, mesh, coeff, k):
 
 
 def _on_both_paths(op, c):
-    """A c by the dense matrix, by the stencil, and |A|·|c|, each (N, k+1)."""
+    """A c by the dense matrix and by the stencil, each (N, k+1), and the (N, 1) scale."""
     dense = _dense_matrix(op._stencil)
     outs = []
     for path in (dense, None):
         twin = copy.copy(op)
         twin._dense = path
         outs.append(twin.apply(c, 0.0))
-    return outs, (np.abs(dense) @ np.abs(c.ravel())).reshape(c.shape)
+    scale = (np.abs(dense) @ np.abs(c.ravel())).reshape(c.shape)
+    return outs, scale.max(axis=1, keepdims=True)
 
 
 @settings(max_examples=60, deadline=None)
