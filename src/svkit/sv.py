@@ -277,7 +277,7 @@ class AffineOperator:
 
         Two paths, one A.  On a small mesh, one product of the dense matrix
         with the flattened c.  Otherwise c·_lift(k) holds each element's right
-        trace, modes and left trace, one flat take of it yields the stencil's
+        trace, modes and left trace; one flat take of it yields the stencil's
         columns ordered (column, element), so A c is one contraction over the
         middle axis with the elements innermost, then one contiguous copy of
         the transpose.
