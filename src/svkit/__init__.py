@@ -40,11 +40,7 @@ from .poly import (
     total_mass,
     triple_norm,
 )
-from .quadrature import (
-    QuadratureRule,
-    RuleKind,
-    make_rule,
-)
+from .quadrature import RuleKind, make_rule
 from .study import StudyConfig, StudyResult, emit_table, run_single, run_study
 from .sv import SchemeConfig, SVOperator
 from .timestep import integrate_to, rk4_step
@@ -66,7 +62,6 @@ __all__ = [
     "NonFiniteError",
     "Partition",
     "PiecewisePoly",
-    "QuadratureRule",
     "RuleKind",
     "Scheme",
     "SchemeConfig",

@@ -61,7 +61,16 @@ class _WaveSource:
     arrays that own their data and are read-only are kept: a writable array,
     or a view whose base could change under it, is evaluated afresh every call.
 
-    A call writes into three full-size arrays, with the operations, in the
+    Beside them the source keeps two work arrays of the nodes' shape, ``tmp``
+    and ``wave``, so that a run of calls on large nodes does not free and
+    re-fault them each time.  A call uses them only on the kept nodes and when
+    the result has the nodes' shape and dtype, as for any scalar t; an array
+    or broadcast t can give a larger result, and then the call allocates its
+    own.  The result itself is always a fresh array that the caller owns.
+    Because of the kept work arrays, one source must not be called from two
+    threads at once.
+
+    A call writes its result and the work arrays with the operations, in the
     order, of ``np.exp(sx * ct - cx * st) * (f1 + f2 * (cx * ct + sx * st))``,
     so its result is bit for bit that expression's.
     """
@@ -70,6 +79,7 @@ class _WaveSource:
         self._factors = factors
         self._x = None
         self._node_values = None
+        self._work = None
 
     def _nodes(self, x):
         if x is self._x and not x.flags.writeable:
@@ -80,18 +90,24 @@ class _WaveSource:
             for value in values:
                 value.setflags(write=False)
             self._x, self._node_values = x, values
+            self._work = (np.empty_like(sx), np.empty_like(sx))
         return values
 
     def __call__(self, x, t):
-        sx, cx, f1, f2 = self._nodes(x)
+        values = self._nodes(x)
+        sx, cx, f1, f2 = values
         ct, st = np.cos(t), np.sin(t)
-        # The first products allocate the three arrays, so a small call costs
-        # no more than the expression; asarray turns a 0-d x's scalars into arrays.
+        # The result is always allocated afresh; asarray turns a 0-d x's
+        # scalars into arrays.
         out = np.asarray(sx * ct)
-        tmp = np.asarray(cx * st)
+        if values is self._node_values and out.shape == sx.shape and out.dtype == sx.dtype:
+            tmp, wave = self._work
+            np.multiply(cx, st, out=tmp)
+            np.multiply(cx, ct, out=wave)
+        else:
+            tmp, wave = np.asarray(cx * st), np.asarray(cx * ct)
         np.subtract(out, tmp, out=out)
         np.exp(out, out=out)
-        wave = np.asarray(cx * ct)
         np.multiply(sx, st, out=tmp)
         np.add(wave, tmp, out=wave)
         np.multiply(f2, wave, out=wave)

@@ -82,8 +82,21 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def gauss_panel(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1], read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(m)
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    The nodes are the zeros of L_m from the Newton iteration of the Gauss
+    rules, and the weights the closed form 2 / ((1 - s^2) L'_m(s)^2).  As in
+    numpy's ``leggauss``, both are then made symmetric about 0 and the weights
+    scaled to sum to 2; unlike it, no eigen-solver or ``numpy.polynomial`` is
+    loaded.  The iteration's residual check holds up to m = 85, far above the
+    k + 3 <= 15 points the package uses.
+    """
+    s = _newton_interior(RuleKind.GAUSS, m)
+    _, der = legendre_basis_deriv(m, s)
+    weights = 2.0 / ((1.0 - s * s) * der[:, m] ** 2)
+    nodes = (s - s[::-1]) / 2
+    weights = (weights + weights[::-1]) / 2
+    weights *= 2.0 / weights.sum()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -57,18 +57,6 @@ class SchemeConfig:
         check_order(self.k)
 
 
-@dataclass(frozen=True)
-class ControlVolumeMatrix:
-    """Reference matrix of Legendre moments over control volumes, with its inverse.
-
-    ``matrix[j, m]`` is the integral of L_m over [s_j, s_{j+1}]; columns are
-    computed exactly from the Legendre antiderivative identity.
-    """
-
-    matrix: np.ndarray
-    inverse: np.ndarray
-
-
 def _legendre_antiderivative_table(k: int, s: np.ndarray) -> np.ndarray:
     """A[j, m] = antiderivative of L_m evaluated at s_j (constant-free)."""
     vals = legendre_basis(k + 1, s)
@@ -80,19 +68,24 @@ def _legendre_antiderivative_table(k: int, s: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def cv_matrix(kind: RuleKind, k: int) -> ControlVolumeMatrix:
-    """Control-volume moment matrix of the order-k rule of one kind, cached."""
+def cv_matrix(kind: RuleKind, k: int) -> np.ndarray:
+    """Read-only inverse of the control-volume moment matrix of one rule kind and order k, cached.
+
+    Entry [j, m] of the moment matrix is the integral of L_m over
+    [s_j, s_{j+1}], computed exactly from the Legendre antiderivative
+    identity.  It must have a 1-norm condition number below 1e8; over every
+    kind and k <= 12 the largest is 169.
+    """
     anti = _legendre_antiderivative_table(k, make_rule(kind, k).points)
     matrix = anti[1:] - anti[:-1]
-    cond = np.linalg.cond(matrix)
+    cond = np.linalg.cond(matrix, 1)
     if not np.isfinite(cond) or cond >= _COND_LIMIT:
         raise SingularMatrixError(
             f"control-volume matrix ill-conditioned ({cond:.2e}) for {kind.value} k={k}"
         )
     inverse = np.linalg.inv(matrix)
-    matrix.setflags(write=False)
     inverse.setflags(write=False)
-    return ControlVolumeMatrix(matrix=matrix, inverse=inverse)
+    return inverse
 
 
 # -- block stencils: du/dt = A u + s(t), with A coupling each element to its two neighbours
@@ -160,7 +153,7 @@ def _sv_patterns(kind: RuleKind, k: int) -> np.ndarray:
     faces[2:4, -1] = rows[2:]
     interior = make_rule(kind, k).points[1 : k + 1]
     faces[4 + np.arange(k), 1 + np.arange(k), 1:-1] = legendre_basis(k, interior)
-    patterns = cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])  # (k+4, k+1, k+3)
+    patterns = cv_matrix(kind, k) @ (faces[:, :-1] - faces[:, 1:])  # (k+4, k+1, k+3)
     patterns_t = np.ascontiguousarray(patterns.transpose(1, 2, 0)).reshape(-1, k + 4)
     patterns_t.setflags(write=False)
     return patterns_t
@@ -178,7 +171,7 @@ def _sv_source_map(kind: RuleKind, k: int) -> np.ndarray:
     """
     _, wg = gauss_panel(k + SOURCE_QUAD_EXTRA)
     half = 0.5 * np.diff(make_rule(kind, k).points)
-    cv_map = (cv_matrix(kind, k).inverse.T * half[:, None])[:, None, :] * wg[:, None]
+    cv_map = (cv_matrix(kind, k).T * half[:, None])[:, None, :] * wg[:, None]
     cv_map = cv_map.reshape(-1, k + 1)
     cv_map.setflags(write=False)
     return cv_map

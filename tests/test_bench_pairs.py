@@ -85,3 +85,36 @@ def test_setup_probe_summary_counts_wins_ties_and_medians():
     assert setup["base"]["median"] == pytest.approx(0.225)
     assert setup["head"]["median"] == pytest.approx(0.205)
     assert setup["median_change"] == pytest.approx(-0.02 / 0.225)
+
+
+_ROUNDS = _SCRIPT.with_name("fault_rounds.py")
+_rounds_spec = importlib.util.spec_from_file_location("fault_rounds", _ROUNDS)
+fault_rounds = importlib.util.module_from_spec(_rounds_spec)
+_rounds_spec.loader.exec_module(fault_rounds)
+
+
+def _process_record(faults: list[int], peak: float) -> dict:
+    rounds = [{"minflt": f, "cpu_s": 0.5 + f * 1e-6, "wall_s": 0.6 + f * 1e-6} for f in faults]
+    return {"rounds": rounds, "peak_rss_mib": peak, "correct": True}
+
+
+def test_fault_rounds_summary_reads_steady_rounds_per_process():
+    # The first round of each process faults heavily; with warmup 1 only the
+    # later rounds count, each process by their median.
+    processes = [{"order": ["base", "head"] if i % 2 == 0 else ["head", "base"],
+                  "base": _process_record([90000, 30000 + i, 34000 + i, 32000 + i], 38.0 + 0.1 * i),
+                  "head": _process_record([3000, 2800 + i, 2900 + i, 2700 + i], 37.5 + 0.1 * i)}
+                 for i in range(4)]
+    processes[3]["head"] = _process_record([3000, 40000, 40000, 40000], 37.8)
+    group = fault_rounds._group("fine-forced", 91, 1, processes)
+    faults = group["summary"]["minflt"]
+    assert (faults["head_wins"], faults["ties"], faults["processes"]) == (3, 0, 4)
+    assert faults["base"]["median"] == pytest.approx(32001.5)
+    assert faults["head"]["median"] == pytest.approx(2801.5)
+    assert (faults["base"]["min"], faults["head"]["max"]) == (32000, 40000)
+    assert faults["median_change"] == pytest.approx(2801.5 / 32001.5 - 1)
+    peak = group["summary"]["peak_rss_mib"]
+    assert peak["base"]["median"] == pytest.approx(38.15)
+    assert peak["head_wins"] == 4
+    assert group["correct_processes"] == {"base": 4, "head": 4}
+    assert group["summary"]["cpu_s"]["head_wins"] == 3

@@ -205,3 +205,35 @@ def test_source_results_are_fresh_and_node_factors_read_only(case_id):
     for factor in memo:
         assert factor.shape == x.shape
         assert not factor.flags.writeable
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+def test_kept_work_arrays_leave_every_result_bit_identical(case_id):
+    case = manufactured_case(case_id)
+    rng = np.random.default_rng(55)
+    first = _frozen(rng.uniform(0.0, 2 * np.pi, (20, 64)))
+    second = _frozen(rng.uniform(0.0, 2 * np.pi, (6, 3, 64)))
+
+    def check(x, t):
+        g = case.source(x, t)
+        assert np.array_equal(g, _expression_source(case_id, x, t))
+        return g
+
+    # two read-only node arrays of different shapes, in alternation
+    for t in (0.1, 0.2, 0.3):
+        check(first, t)
+        check(second, t)
+
+    # a scalar t after a broadcast t, whose result is larger than the nodes
+    assert check(first, rng.uniform(0.0, 2.0, (3, 1, 1))).shape == (3, 20, 64)
+    check(first, 0.4)
+
+    # a held result stays as it was while later calls reuse the work arrays
+    held = check(first, 0.5)
+    kept = held.copy()
+    work = case.source._work
+    for t in (0.6, rng.uniform(0.0, 2.0, (2, 1, 1)), 0.7, 0.7):
+        check(first, t)
+    assert case.source._work is work
+    assert not any(np.shares_memory(held, array) for array in work)
+    assert np.array_equal(held, kept)

@@ -22,13 +22,15 @@ from svkit.sv import (
     SchemeConfig,
     SVOperator,
     _dense_matrix,
+    _legendre_antiderivative_table,
     _sv_source_map,
     cv_matrix,
     upwind_weights,
 )
 from svkit.dg import DGOperator
 from svkit.timestep import integrate_to
-from svkit.exceptions import InvalidConfigError
+from svkit.exceptions import InvalidConfigError, SingularMatrixError
+import svkit.sv as sv_module
 
 from flux_reference import upwind_fluxes
 from poly_reference import integrate_panel, point_values
@@ -47,13 +49,20 @@ def _constant_coeff(mesh, value=1.0):
 # -- control-volume matrices -----------------------------------------------------
 
 
+def _moment_matrix(kind, k):
+    # The control-volume moment matrix that cv_matrix inverts: entry [j, m] is
+    # the integral of L_m over [s_j, s_{j+1}].
+    anti = _legendre_antiderivative_table(k, make_rule(kind, k).points)
+    return anti[1:] - anti[:-1]
+
+
 def test_cv_matrix_gauss_k1():
-    m = cv_matrix(RuleKind.GAUSS, 1).matrix
+    m = _moment_matrix(RuleKind.GAUSS, 1)
     np.testing.assert_allclose(m, [[1.0, -0.5], [1.0, 0.5]], atol=1e-14)
 
 
 def test_cv_matrix_radau_right_k1():
-    m = cv_matrix(RuleKind.RADAU_RIGHT, 1).matrix
+    m = _moment_matrix(RuleKind.RADAU_RIGHT, 1)
     np.testing.assert_allclose(m, [[2 / 3, -4 / 9], [4 / 3, 4 / 9]], atol=1e-14)
     np.testing.assert_allclose(m.sum(axis=0), [2.0, 0.0], atol=1e-14)
 
@@ -62,15 +71,17 @@ def test_cv_matrix_radau_right_k1():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
 def test_cv_matrix_properties(kind, k):
     rule = make_rule(kind, k)
-    cvm = cv_matrix(kind, k)
+    matrix = _moment_matrix(kind, k)
+    inverse = cv_matrix(kind, k)
+    assert not inverse.flags.writeable
     # first column holds the subinterval lengths
-    np.testing.assert_allclose(cvm.matrix[:, 0], np.diff(rule.points), atol=1e-13)
+    np.testing.assert_allclose(matrix[:, 0], np.diff(rule.points), atol=1e-13)
     # column sums are the full-interval Legendre integrals 2*delta_{m,0}
     expected = np.zeros(k + 1)
     expected[0] = 2.0
-    np.testing.assert_allclose(cvm.matrix.sum(axis=0), expected, atol=1e-12)
-    assert np.linalg.cond(cvm.matrix) < 1e8
-    np.testing.assert_allclose(cvm.inverse @ cvm.matrix, np.eye(k + 1), atol=1e-12)
+    np.testing.assert_allclose(matrix.sum(axis=0), expected, atol=1e-12)
+    assert np.linalg.cond(matrix) < 1e8
+    np.testing.assert_allclose(inverse @ matrix, np.eye(k + 1), atol=1e-12)
     # matrix entries agree with direct panel integration of each mode
     for j in range(k + 1):
         for m in range(k + 1):
@@ -80,7 +91,26 @@ def test_cv_matrix_properties(kind, k):
                 rule.points[j + 1],
                 k + 2,
             )
-            assert cvm.matrix[j, m] == pytest.approx(direct, abs=1e-13)
+            assert matrix[j, m] == pytest.approx(direct, abs=1e-13)
+
+
+@pytest.mark.parametrize("kind", list(RuleKind))
+def test_cv_matrix_one_norm_conditions(kind):
+    # Measured: (k+1)^2 for the Radau kinds and k^2+k+1 for Gauss, so 169 at most
+    for k in range(1, 13):
+        expected = k * k + k + 1 if kind is RuleKind.GAUSS else (k + 1) ** 2
+        assert np.linalg.cond(_moment_matrix(kind, k), 1) == pytest.approx(expected, rel=1e-12)
+
+
+def test_cv_matrix_rejects_a_condition_above_its_limit(monkeypatch):
+    cv_matrix.cache_clear()
+    monkeypatch.setattr(sv_module, "_COND_LIMIT", 160.0)
+    try:
+        with pytest.raises(SingularMatrixError):
+            cv_matrix(RuleKind.RADAU_RIGHT, 12)  # 169
+        cv_matrix(RuleKind.GAUSS, 12)  # 157
+    finally:
+        cv_matrix.cache_clear()
 
 
 # -- upwind flux ------------------------------------------------------------------
@@ -219,7 +249,7 @@ def test_source_quadrature_doubling():
             integrate_panel(lambda x: case.source(x, t), a, b, 8)
             for a, b in zip(part.subpoints[i, :-1], part.subpoints[i, 1:])
         ]
-        inverse = cv_matrix(RULE_KINDS[part.kinds[i]], 2).inverse
+        inverse = cv_matrix(RULE_KINDS[part.kinds[i]], 2)
         fine[i] = (inverse @ cv) * 2.0 / mesh.sizes[i]
     scale = max(1.0, float(np.max(np.abs(base.coeffs))))
     assert np.max(np.abs(source_term - fine)) < 1e-11 * scale
@@ -316,7 +346,7 @@ def _reference_rhs(part, coeff, u):
         faces[1:-1] = coeff.alpha(x_int) * np.polynomial.legendre.legval(
             rule.points[1 : k + 1], u.coeffs[i]
         )
-        out[i] = cv_matrix(rule.kind, k).inverse @ (faces[:-1] - faces[1:]) * 2.0 / sizes[i]
+        out[i] = cv_matrix(rule.kind, k) @ (faces[:-1] - faces[1:]) * 2.0 / sizes[i]
     return out
 
 
@@ -462,7 +492,7 @@ def _full_sv_patterns(kind, k):
     interior = make_rule(kind, k).points[1 : k + 1]
     faces[4 + np.arange(k), 1 + np.arange(k), 1] = legendre_basis(k, interior)
     faces = faces.reshape(k + 4, k + 2, 3 * m)
-    patterns = cv_matrix(kind, k).inverse @ (faces[:, :-1] - faces[:, 1:])  # (k+4, m, 3m)
+    patterns = cv_matrix(kind, k) @ (faces[:, :-1] - faces[:, 1:])  # (k+4, m, 3m)
     return patterns.transpose(1, 2, 0).reshape(-1, k + 4)
 
 
@@ -557,7 +587,7 @@ def test_source_map_matches_element_stacked_reference(example, scheme, tie_break
     mid = 0.5 * (sp[:, 1:] + sp[:, :-1])[..., None]
     half = 0.5 * (sp[:, 1:] - sp[:, :-1])[..., None]
     cv = np.einsum("njq,njq->nj", case.source(mid + half * sg, t), half * wg)
-    cv_inv = np.array([cv_matrix(RULE_KINDS[code], k).inverse for code in part.kinds])
+    cv_inv = np.array([cv_matrix(RULE_KINDS[code], k) for code in part.kinds])
     cv_inv *= (2.0 / mesh.sizes)[:, None, None]
     ref = np.matmul(cv_inv, cv[..., None])[..., 0]
 
