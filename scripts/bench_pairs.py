@@ -16,8 +16,8 @@ file can hold several workloads measured between the same two commits; a
 second run for a key adds its pairs to those already there.  Each entry holds
 every run record (the benchmark's own JSON record, with its round times and
 run length), per side the runs whose checks passed and the jobs attempted and
-failed, and per metric each side's median and quartiles, the change's wins
-(ties count for neither side) and the relative change of the medians.  For an
+failed, and per metric each side's median, quartiles and range, the change's
+wins (ties count for neither side) and the relative change of the medians.  For an
 end-to-end metric it also states whether the change stays within the
 benchmark's bound, and whether it shows a gain: at least nine wins in ten and
 a drop in medians larger than the base's interquartile range.  Both verdicts
@@ -80,7 +80,20 @@ def _spread(values: list[float]) -> dict:
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     else:
         q1 = median = q3 = values[0]
-    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values),
+            "runs": len(values)}
+
+
+def _verdict(base: list[float], head: list[float], sign: float = 1.0) -> dict:
+    """Both sides' spread, the change's wins and ties over the pairs, the relative change of the medians.
+
+    ``sign`` is 1 for a metric where lower is better and -1 where higher is.
+    """
+    b, h = _spread(base), _spread(head)
+    return {"base": b, "head": h,
+            "head_wins": sum(sign * (y - x) < 0 for x, y in zip(base, head)),
+            "ties": sum(y == x for x, y in zip(base, head)),
+            "median_change": (h["median"] - b["median"]) / b["median"] if b["median"] else None}
 
 
 def _checks(pairs: list[dict]) -> dict:
@@ -109,16 +122,13 @@ def _summary(pairs: list[dict], declared: dict, head_sound: bool) -> dict:
         sign = 1.0 if better == "lower" else -1.0
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         head = [p["head"]["metrics"][name]["value"] for p in pairs]
-        wins = sum(sign * (h - b) < 0 for b, h in zip(base, head))
-        ties = sum(h == b for b, h in zip(base, head))
-        b, h = _spread(base), _spread(head)
         entry = {"unit": pairs[0]["base"]["metrics"][name]["unit"], "better": better,
-                 "base": b, "head": h, "head_wins": wins, "ties": ties, "pairs": len(pairs),
-                 "median_change": (h["median"] - b["median"]) / b["median"] if b["median"] else None}
+                 **_verdict(base, head, sign), "pairs": len(pairs)}
         if bound is not None:
+            b, h = entry["base"], entry["head"]
             entry["bound"] = bound
             entry["within_bound"] = head_sound and sign * entry["median_change"] <= bound
-            entry["gain_shown"] = (head_sound and wins >= 0.9 * len(pairs)
+            entry["gain_shown"] = (head_sound and entry["head_wins"] >= 0.9 * len(pairs)
                                    and sign * (b["median"] - h["median"]) > b["q3"] - b["q1"])
         summary[name] = entry
     return summary

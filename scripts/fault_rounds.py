@@ -3,22 +3,23 @@
 Usage, from anywhere inside a git checkout of svkit:
 
     python3 scripts/fault_rounds.py --label steady_sources --base 144c1b5 --head HEAD \\
-        --workload fine-forced --processes 10 --rounds 5 --seed 91
+        --workload fine-forced --seed 91
 
 Both commits are exported with ``git archive``, as ``scripts/bench_pairs.py``
-does, and process i runs the base first when i is even and the change first
-when i is odd.  Each process imports its side's svkit and
-``svbench/workloads.py``, runs ``--rounds`` rounds of the workload in-process
-(``run_round``, then ``check``) with the BLAS pools pinned to one thread, as
-``svbench/run.py`` does, and records per round the wall time, the process CPU
-time and the minor page faults (``resource.getrusage``), and its peak RSS.
+does, and ``PROCESSES`` processes run per side, process i running the base
+first when i is even and the change first when i is odd.  Each process imports
+its side's svkit and ``svbench/workloads.py``, runs ``ROUNDS`` rounds of the
+workload in-process (``run_round``, then ``check``) with the BLAS pools pinned
+to one thread, as ``svbench/run.py`` does, and records per round the wall
+time, the process CPU time and the minor page faults (``resource.getrusage``),
+and its peak RSS.
 Counts of faults are steady where times are not, so a change in the heap's
 behaviour shows here below what pairs of whole benchmark runs resolve.
 
 The processes go into ``BENCH_<label>.json`` under the key
 ``<workload> --fault-rounds``, next to any groups of ``bench_pairs.py``
 between the same two commits.  The summary reads each process by the median
-of its steady rounds, the rounds after the first ``--warmup``, and its peak
+of its steady rounds, the rounds after the first ``WARMUP``, and its peak
 RSS.  Per metric it gives each side's median, quartiles and range over the
 processes, the change's wins over the process pairs (ties count for neither
 side) and the relative change of the medians.
@@ -37,22 +38,25 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import RUN_TIMEOUT_S, _bench_doc, _export, _git, _spread
+from bench_pairs import RUN_TIMEOUT_S, _bench_doc, _export, _git, _verdict
 
+PROCESSES = 10
+ROUNDS = 5
+WARMUP = 2
 ROUND_METRICS = ("minflt", "cpu_s", "wall_s")
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _worker(workload_name: str, seed: int, rounds: int) -> dict:
-    """Body of one process, run from the top of a checkout: ``rounds`` rounds of the workload."""
+def _worker(workload_name: str, seed: int) -> dict:
+    """Body of one process, run from the top of a checkout: ``ROUNDS`` rounds of the workload."""
     sys.path[:0] = [str(Path.cwd() / "svbench"), str(Path.cwd() / "src")]
     import svkit
     import workloads
 
     workload = workloads.WORKLOADS[workload_name]
     records, problems = [], 0
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         before = resource.getrusage(resource.RUSAGE_SELF)
         start = time.perf_counter()
         outcome = workload.run_round(svkit, seed)
@@ -67,9 +71,9 @@ def _worker(workload_name: str, seed: int, rounds: int) -> dict:
     return {"rounds": records, "peak_rss_mib": peak_mib, "correct": problems == 0}
 
 
-def _process(checkout: Path, workload: str, seed: int, rounds: int) -> dict:
+def _process(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", "--workload", workload,
-           "--seed", str(seed), "--rounds", str(rounds)]
+           "--seed", str(seed)]
     env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
@@ -89,17 +93,9 @@ def _group(workload: str, seed: int, warmup: int, processes: list[dict]) -> dict
     """One BENCH file entry: every process's rounds and, per metric, the verdict over processes."""
     summary = {}
     for metric in ROUND_METRICS + ("peak_rss_mib",):
-        base = [_steady(p["base"], metric, warmup) for p in processes]
-        head = [_steady(p["head"], metric, warmup) for p in processes]
-        b, h = _spread(base), _spread(head)
-        summary[metric] = {
-            "base": {**b, "min": min(base), "max": max(base)},
-            "head": {**h, "min": min(head), "max": max(head)},
-            "head_wins": sum(y < x for x, y in zip(base, head)),
-            "ties": sum(y == x for x, y in zip(base, head)),
-            "processes": len(processes),
-            "median_change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
-        }
+        summary[metric] = {**_verdict([_steady(p["base"], metric, warmup) for p in processes],
+                                      [_steady(p["head"], metric, warmup) for p in processes]),
+                           "processes": len(processes)}
     correct = {side: sum(p[side]["correct"] for p in processes) for side in ("base", "head")}
     return {"workload": workload, "seed": seed, "warmup": warmup, "correct_processes": correct,
             "processes": processes, "summary": summary}
@@ -111,19 +107,14 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="parent commit")
     parser.add_argument("--head", default="HEAD", help="changed commit (default HEAD)")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--processes", type=int, default=10, help="processes per side")
-    parser.add_argument("--rounds", type=int, default=5, help="rounds per process")
-    parser.add_argument("--warmup", type=int, default=2, help="rounds left out of the summary")
     parser.add_argument("--seed", type=int, default=91)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(_worker(args.workload, args.seed, args.rounds)))
+        print(json.dumps(_worker(args.workload, args.seed)))
         return 0
     if not args.label or not args.base:
         parser.error("--label and --base are required")
-    if not 0 <= args.warmup < args.rounds:
-        parser.error("--warmup must leave at least one round")
 
     top = Path(_git("rev-parse", "--show-toplevel", cwd=Path(__file__).resolve().parent))
     commits = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=top)
@@ -137,14 +128,14 @@ def main(argv=None) -> int:
             checkout.mkdir()
             _export(top, commits[side], checkout)
         processes = []
-        for _ in range(args.processes):
+        for _ in range(PROCESSES):
             order = ("base", "head") if len(processes) % 2 == 0 else ("head", "base")
             process = {"order": list(order)}
             for side in order:
-                process[side] = _process(checkouts[side], args.workload, args.seed, args.rounds)
+                process[side] = _process(checkouts[side], args.workload, args.seed)
             processes.append(process)
             print(f"process pair {len(processes)} done", file=sys.stderr)
-        doc["groups"][key] = _group(args.workload, args.seed, args.warmup, processes)
+        doc["groups"][key] = _group(args.workload, args.seed, WARMUP, processes)
         bench_file.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

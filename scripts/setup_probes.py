@@ -16,8 +16,8 @@ span; single probes put seconds between them.
 The probes go into ``BENCH_<label>.json`` under the key
 ``<workload> --setup-probe``, next to any groups of ``bench_pairs.py``
 between the same two commits: every probe's seconds per side, each side's
-median and quartiles, the change's wins (ties count for neither side) and
-the relative change of the medians.
+median, quartiles and range, the change's wins (ties count for neither side)
+and the relative change of the medians.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import RUN_TIMEOUT_S, _bench_doc, _export, _git, _spread
+from bench_pairs import RUN_TIMEOUT_S, _bench_doc, _export, _git, _verdict
 
 
 def _probe(checkout: Path, workload: str, seed: int) -> float:
@@ -43,15 +43,10 @@ def _probe(checkout: Path, workload: str, seed: int) -> float:
 
 
 def _group(workload: str, probes: list[dict]) -> dict:
-    base = [p["base"] for p in probes]
-    head = [p["head"] for p in probes]
-    b, h = _spread(base), _spread(head)
+    verdict = _verdict([p["base"] for p in probes], [p["head"] for p in probes])
     return {"workload": workload, "probes": probes,
-            "summary": {"setup_s": {"unit": "s", "better": "lower", "base": b, "head": h,
-                                    "head_wins": sum(y < x for x, y in zip(base, head)),
-                                    "ties": sum(y == x for x, y in zip(base, head)),
-                                    "probes": len(probes),
-                                    "median_change": (h["median"] - b["median"]) / b["median"]}}}
+            "summary": {"setup_s": {"unit": "s", "better": "lower", **verdict,
+                                    "probes": len(probes)}}}
 
 
 def main(argv=None) -> int:

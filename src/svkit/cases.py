@@ -102,10 +102,10 @@ class _WaveSource:
         out = np.asarray(sx * ct)
         if values is self._node_values and out.shape == sx.shape and out.dtype == sx.dtype:
             tmp, wave = self._work
-            np.multiply(cx, st, out=tmp)
-            np.multiply(cx, ct, out=wave)
         else:
-            tmp, wave = np.asarray(cx * st), np.asarray(cx * ct)
+            tmp, wave = np.empty_like(out), np.empty_like(out)
+        np.multiply(cx, st, out=tmp)
+        np.multiply(cx, ct, out=wave)
         np.subtract(out, tmp, out=out)
         np.exp(out, out=out)
         np.multiply(sx, st, out=tmp)
