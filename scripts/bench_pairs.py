@@ -41,11 +41,13 @@ processes whose checks passed and the jobs attempted and failed, and per
 metric each side's median, quartiles and range, the change's wins (ties count
 for neither side) and the relative change of the medians.  For an end-to-end
 metric it also states whether the change stays within the benchmark's bound,
-and whether it shows a gain: at least nine wins in ten and a drop in medians
-larger than the base's interquartile range.  Both verdicts are false when a
-process of the change fails its checks or fails a larger share of its jobs
-than the base process of its pair.  The file is rewritten after every pair,
-so an interrupted session keeps the pairs it finished.
+and whether it shows a gain: at least ``MIN_PAIRS`` (ten) pairs, at least
+nine wins in ten and a drop in medians larger than the base's interquartile
+range.  Below ten pairs no gain is shown, however the pairs read.  Both
+verdicts are false when a process of the change fails its checks or fails a
+larger share of its jobs than the base process of its pair.  The file is
+rewritten after every pair, so an interrupted session keeps the pairs it
+finished.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from pathlib import Path
 
 RUN_TIMEOUT_S = 1800
 KINDS = {"run": "", "trace": " --trace 1", "setup": " --setup-probe", "rounds": " --fault-rounds"}
+MIN_PAIRS = 10
 ROUNDS = 5
 WARMUP = 2
 ROUND_METRICS = {"minflt": "count", "cpu_s": "s", "wall_s": "s"}
@@ -196,7 +199,8 @@ def _summary(pairs: list[dict], declared: dict, head_sound: bool) -> dict:
         if bound is not None:
             entry["bound"] = bound
             entry["within_bound"] = head_sound and sign * entry["median_change"] <= bound
-            entry["gain_shown"] = (head_sound and entry["head_wins"] >= 0.9 * len(pairs)
+            entry["gain_shown"] = (head_sound and len(pairs) >= MIN_PAIRS
+                                   and entry["head_wins"] >= 0.9 * len(pairs)
                                    and sign * (b["median"] - h["median"]) > b["q3"] - b["q1"])
         summary[name] = entry
     return summary

@@ -10,7 +10,6 @@ from .cases import CaseSpec, manufactured_case
 from .dg import DGOperator
 from .exceptions import (
     BelowRoundoffError,
-    DegenerateNodesError,
     InvalidConfigError,
     NonConvergenceError,
     NonFiniteError,
@@ -52,7 +51,6 @@ __all__ = [
     "CaseSpec",
     "DGOperator",
     "DOMAIN_LENGTH",
-    "DegenerateNodesError",
     "ErrorReport",
     "FluxCoefficient",
     "InterpKind",

@@ -17,10 +17,6 @@ class SingularMatrixError(SvkitError):
     """A control-volume recovery matrix could not be factorized."""
 
 
-class DegenerateNodesError(SvkitError):
-    """Two interpolation nodes coincide; interpolation is impossible."""
-
-
 class NonFiniteError(SvkitError):
     """A solution coefficient became NaN or infinite during time stepping."""
 

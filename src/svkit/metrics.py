@@ -18,70 +18,47 @@ import numpy as np
 
 from .exceptions import BelowRoundoffError
 from .mesh import FluxCoefficient, Partition
-from .poly import PiecewisePoly, _fit, _grid_l2, _nodes_without, auto_interp_kinds, broken_norm
-from .quadrature import RULE_KINDS, gauss_panel, make_rule
+from .poly import (
+    PiecewisePoly, _fit, _grid_l2, _nodes_without, _reference_nodes, auto_interp_kinds, broken_norm,
+)
+from .quadrature import gauss_panel
 
 _BISECT_STEPS = 60
 
 
-def _extrema_batch(nodes: np.ndarray) -> np.ndarray:
+def _extrema(nodes: np.ndarray) -> np.ndarray:
     """Roots of the node-polynomial derivative, one per consecutive node gap.
 
-    ``nodes`` is (N, k+1) with strictly increasing rows; bisection keeps each
-    root bracketed inside its gap, so interlacing holds by construction.  All
-    gaps of all elements are bisected at once, with the element index
-    innermost.  The derivative of prod_j (x - nodes_j) is summed over j, in
-    index order, from the product of the other factors, also in index order.
+    ``nodes`` is one strictly increasing (k+1,) set; bisection keeps each root
+    bracketed inside its gap, so interlacing holds by construction.  The
+    derivative of prod_j (x - nodes_j) is summed over j, in index order, from
+    the product of the other factors, also in index order.
     """
-    nodes_t = np.ascontiguousarray(nodes.T)  # (k+1, N)
-    lo = nodes_t[:-1].copy()
-    hi = nodes_t[1:].copy()
-    k = lo.shape[0]
+    lo, hi = nodes[:-1], nodes[1:]
+    k = lo.size
     # Row j lists the k factors that remain when factor j is left out.
     others = np.array([np.delete(np.arange(k + 1), j) for j in range(k + 1)])
     # At the left end of gap j the derivative has sign (-1)^(k-j): the factors
     # from nodes above the gap are negative, those below positive.
-    sign_lo = np.where((k - np.arange(k)) % 2 == 0, 1.0, -1.0)[:, None]
+    sign_lo = np.where((k - np.arange(k)) % 2 == 0, 1.0, -1.0)
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        diff = mid[:, None, :] - nodes_t[None, :, :]  # (k, k+1, N)
+        diff = mid[:, None] - nodes[None, :]  # (k, k+1)
         fm = np.zeros_like(mid)
         for j in range(k + 1):
             fm += np.prod(diff[:, others[j]], axis=1)
         same = fm * sign_lo > 0.0
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    return np.ascontiguousarray((0.5 * (lo + hi)).T)
+    return 0.5 * (lo + hi)
 
 
 @lru_cache(maxsize=None)
-def _reference_extrema(code: int, dropped: int, k: int) -> np.ndarray:
-    """(k,) extrema on [-1, 1] of one reference node set, read-only.
-
-    The node set is the order-k rule ``RULE_KINDS[code]`` less its point at
-    index ``dropped``, as :func:`interpolation_nodes` selects it.
-    """
-    z = _extrema_batch(np.delete(make_rule(RULE_KINDS[code], k).points, dropped)[None, :])[0]
+def _reference_extrema(key: int, k: int) -> np.ndarray:
+    """(k,) extrema on [-1, 1] of the node set ``_reference_nodes(key, k)``, read-only."""
+    z = _extrema(_reference_nodes(key, k))
     z.setflags(write=False)
     return z
-
-
-def _auto_node_extrema(partition: Partition, dropped: np.ndarray):
-    """(N, k) domain and reference coordinates of the extrema of each AUTO node set.
-
-    Every element's node set is the affine image of one reference set, fixed
-    by its rule code and its ``dropped`` point, so only the few sets in use are
-    bisected and each element maps its set's extrema.
-    """
-    mesh = partition.mesh
-    k = partition.k
-    codes = partition.kinds * (k + 2) + dropped
-    table = np.zeros((len(RULE_KINDS) * (k + 2), k))
-    for code in np.flatnonzero(np.bincount(codes)):
-        table[code] = _reference_extrema(*divmod(int(code), k + 2), k)
-    s_z = table[codes]
-    z = mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * s_z
-    return z, s_z
 
 
 @dataclass
@@ -155,7 +132,7 @@ def error_report(
     dropped = auto_interp_kinds(partition, coeff)
 
     # Stationary points of the node polynomials.
-    z, s_z = _auto_node_extrema(partition, dropped)
+    z, s_z = _nodes_without(partition, dropped, _reference_extrema)
     dz = np.asarray(u_x(z), dtype=float) - u_h.eval_ref_deriv(s_z)
     vz = np.asarray(u(z), dtype=float) - u_h.eval_ref(s_z)
     a_z = np.asarray(coeff.alpha(z), dtype=float)

@@ -16,13 +16,14 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import DegenerateNodesError, InvalidConfigError
+from .exceptions import InvalidConfigError
 from .mesh import FluxCoefficient, Mesh1D, Partition
-from .quadrature import gauss_panel, legendre_basis, legendre_basis_deriv
+from .quadrature import RULE_KINDS, gauss_panel, legendre_basis, legendre_basis_deriv, make_rule
 
 _FLOAT64 = np.dtype(np.float64)
 LINF_SAMPLES = 21
@@ -117,9 +118,6 @@ class PiecewisePoly:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return PiecewisePoly(self.mesh, self.k, -self.coeffs)
-
 
 def total_mass(u: PiecewisePoly) -> float:
     """Integral of u over the whole domain."""
@@ -187,15 +185,26 @@ def interpolation_nodes(
     return _nodes_without(partition, np.full(partition.mesh.n_elements, fixed[kind]))
 
 
-def _nodes_without(partition: Partition, dropped: np.ndarray) -> InterpNodes:
-    """The node sets that leave out partition point ``dropped[i]`` of each element i."""
-    keep = np.arange(partition.k + 2) != dropped[:, None]
-    s_nodes = partition.ref_points[keep].reshape(dropped.size, partition.k + 1)
-    gaps = np.diff(s_nodes, axis=1).min(axis=1)
-    if gaps.min() < 1e-13:
-        raise DegenerateNodesError(f"interpolation nodes coincide in element {gaps.argmin()}")
-    x_nodes = partition.mesh.centers[:, None] + 0.5 * partition.mesh.sizes[:, None] * s_nodes
-    return InterpNodes(x=x_nodes, s=s_nodes)
+@lru_cache(maxsize=None)
+def _reference_nodes(key: int, k: int) -> np.ndarray:
+    """Order-k rule ``RULE_KINDS[key // (k+2)]`` less its point ``key % (k+2)``, read-only."""
+    s = np.delete(make_rule(RULE_KINDS[key // (k + 2)], k).points, key % (k + 2))
+    s.setflags(write=False)
+    return s
+
+
+def _nodes_without(partition: Partition, dropped: np.ndarray, reference=_reference_nodes):
+    """Domain and reference coordinates of each element's set less partition point ``dropped[i]``.
+
+    Each element maps ``reference(key, k)``, points on [-1, 1] of its rule's set
+    less that point: by default the set itself, or for example its extrema.
+    """
+    k = partition.k
+    keys = partition.kinds * (k + 2) + dropped
+    used = np.flatnonzero(np.bincount(keys))
+    s = np.stack([reference(int(key), k) for key in used])[np.searchsorted(used, keys)]
+    x = partition.mesh.centers[:, None] + 0.5 * partition.mesh.sizes[:, None] * s
+    return InterpNodes(x=x, s=s)
 
 
 def interpolate(

@@ -39,6 +39,14 @@ def test_sound_faster_change_shows_a_gain():
     assert wall["within_bound"] and wall["gain_shown"]
 
 
+def test_fewer_than_ten_pairs_show_no_gain():
+    # Nine sound pairs that the change wins every time: within the bound, but
+    # the gain needs at least ten pairs.
+    wall = bench_pairs._group("fine-forced", "run", _pairs(9), DECLARED)["summary"]["wall_s"]
+    assert (wall["head_wins"], wall["pairs"]) == (9, 9)
+    assert wall["within_bound"] and not wall["gain_shown"]
+
+
 def test_incorrect_change_run_voids_both_verdicts():
     pairs = _pairs()
     pairs[3]["head"]["correct"] = False

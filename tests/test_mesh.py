@@ -90,7 +90,18 @@ def test_bad_configs_rejected():
         )
     with pytest.raises(InvalidConfigError):
         Mesh1D(np.array([0.0, 1.0, 2.0]))  # does not reach 2*pi
+    with pytest.raises(InvalidConfigError, match="at least 2 elements"):
+        Mesh1D(np.array([0.0, 2 * np.pi]))
+    with pytest.raises(InvalidConfigError, match="strictly increasing"):
+        Mesh1D(np.array([0.0, 3.0, 3.0, 2 * np.pi]))
+    with pytest.raises(InvalidConfigError, match="shape regularity"):
+        Mesh1D(np.array([0.0, 0.5, 2 * np.pi]))  # element sizes 0.5 and 5.78
     mesh = build_mesh(8)
+    coeff = FluxCoefficient(np.sin, mesh)
+    with pytest.raises(InvalidConfigError, match="tie_break"):
+        build_partition(mesh, 2, Scheme.RSV, coeff, tie_break=RuleKind.GAUSS)
+    with pytest.raises(InvalidConfigError, match="unknown scheme"):
+        build_partition(mesh, 2, "rsv", coeff)
     for alpha in (
         lambda x: 1.0,  # a scalar, not one value per breakpoint
         lambda x: np.ones(x.size - 1),

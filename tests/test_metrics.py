@@ -11,13 +11,13 @@ from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.metrics import (
     ErrorReport,
     _BISECT_STEPS,
-    _auto_node_extrema,
-    _extrema_batch,
     _reference_extrema,
     convergence_orders,
     error_report,
 )
-from svkit.poly import InterpKind, PiecewisePoly, auto_interp_kinds, broken_norm, interpolate, interpolation_nodes
+from svkit.poly import (
+    InterpKind, PiecewisePoly, _nodes_without, auto_interp_kinds, broken_norm, interpolate, interpolation_nodes,
+)
 from svkit.quadrature import RuleKind, gauss_panel
 
 from strategies import breakpoint_zero_coefficients
@@ -28,13 +28,13 @@ from strategies import breakpoint_zero_coefficients
 
 def _extrema(nodes):
     """The stationary points of prod (x - nodes_j) for one strictly increasing node set."""
-    return _extrema_batch(np.asarray(nodes, dtype=float)[None, :])[0]
+    return svkit.metrics._extrema(np.asarray(nodes, dtype=float))
 
 
 def test_extrema_two_nodes():
     np.testing.assert_allclose(_extrema([0.0, 1.0]), [0.5], atol=1e-13)
-    # The order-1 Gauss rule's points are -1, 0, 1; leaving out -1 gives the nodes 0, 1.
-    z = _reference_extrema(0, 0, 1)
+    # The order-1 Gauss rule's points are -1, 0, 1; leaving out -1 (key 0 * 3 + 0) gives the nodes 0, 1.
+    z = _reference_extrema(0, 1)
     np.testing.assert_allclose(z, [0.5], atol=1e-13)
     assert not z.flags.writeable
 
@@ -109,9 +109,10 @@ def test_extrema_batch_bit_identical_to_per_gap_bisection(k):
     rng = np.random.default_rng(k)
     gaps = rng.uniform(0.01, 1.0, (40, k + 1))
     nodes = np.cumsum(gaps, axis=1) + rng.uniform(-5.0, 5.0, (40, 1))
-    z = _extrema_batch(nodes)
-    assert z.flags.c_contiguous
-    assert np.array_equal(z, _extrema_per_gap(nodes))
+    for row, expected in zip(nodes, _extrema_per_gap(nodes)):
+        z = _extrema(row)
+        assert z.flags.c_contiguous
+        assert np.array_equal(z, expected)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
@@ -122,7 +123,8 @@ def test_extrema_batch_bit_identical_on_interpolation_nodes(scheme, k):
     coeff = FluxCoefficient(case.alpha, mesh)
     part = build_partition(mesh, k, scheme, coeff)
     nodes = interpolation_nodes(part, coeff, InterpKind.AUTO).x
-    assert np.array_equal(_extrema_batch(nodes), _extrema_per_gap(nodes))
+    for row, expected in zip(nodes, _extrema_per_gap(nodes)):
+        assert np.array_equal(_extrema(row), expected)
 
 
 # Mapping each reference node set's extrema into the elements moves them by
@@ -131,8 +133,8 @@ _MAPPED_EXTREMA_TOL = 4 * np.spacing(2 * np.pi)
 
 
 def _assert_mapped_extrema_match_bisection(part, coeff):
-    z, s_z = _auto_node_extrema(part, auto_interp_kinds(part, coeff))
-    assert np.max(np.abs(z - _extrema_batch(interpolation_nodes(part, coeff).x))) <= _MAPPED_EXTREMA_TOL
+    z, s_z = _nodes_without(part, auto_interp_kinds(part, coeff), _reference_extrema)
+    assert np.max(np.abs(z - _extrema_per_gap(interpolation_nodes(part, coeff).x))) <= _MAPPED_EXTREMA_TOL
     nodes = interpolation_nodes(part, coeff).s
     assert np.all((nodes[:, :-1] < s_z) & (s_z < nodes[:, 1:]))
 
@@ -310,7 +312,7 @@ def _defined_fields(u_h, u, u_x, coeff, part, u_dg):
     uhat = np.where(a_if > 0.0, u_h.right_traces(), np.roll(u_h.left_traces(), -1))
     nodes = interpolation_nodes(part, coeff, InterpKind.AUTO)
     node_mismatch = u(nodes.x) - u_h.eval_ref(nodes.s)
-    z, s_z = _auto_node_extrema(part, auto_interp_kinds(part, coeff))
+    z, s_z = _nodes_without(part, auto_interp_kinds(part, coeff), _reference_extrema)
     dz = u_x(z) - u_h.eval_ref_deriv(s_z)
     fields = dict(
         l2=broken_norm(u_h, "l2", reference=u),

@@ -6,6 +6,7 @@ from svkit.mesh import FluxCoefficient, Scheme, build_mesh, build_partition
 from svkit.poly import (
     InterpKind,
     PiecewisePoly,
+    _reference_nodes,
     auto_interp_kinds,
     broken_norm,
     cv_integrals,
@@ -17,7 +18,7 @@ from svkit.poly import (
     transform_inner_products,
     triple_norm,
 )
-from svkit.quadrature import RuleKind, gauss_panel, make_rule
+from svkit.quadrature import RULE_KINDS, RuleKind, gauss_panel, make_rule
 
 from poly_reference import point_values
 
@@ -156,6 +157,34 @@ def test_interpolated_function_must_give_finite_real_values_of_the_nodes_shape()
     ):
         with pytest.raises(InvalidConfigError):
             interpolate(f, part, coeff)
+
+
+@pytest.mark.parametrize("code", range(len(RULE_KINDS)))
+@pytest.mark.parametrize("k", range(1, 13))
+def test_every_reference_node_set_is_read_only_and_well_separated(code, k):
+    # Every node set of the package is one of these, mapped into an element,
+    # so no element's nodes can coincide.
+    points = make_rule(RULE_KINDS[code], k).points
+    for dropped in range(k + 2):
+        s = _reference_nodes(code * (k + 2) + dropped, k)
+        assert not s.flags.writeable
+        assert np.array_equal(s, np.delete(points, dropped))
+        assert np.diff(s).min() > 1e-2
+
+
+@pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_node_sets_are_the_partition_points_less_one(scheme, k):
+    mesh = build_mesh(13, 0.3, seed=k)
+    coeff = FluxCoefficient(np.sin, mesh)
+    part = build_partition(mesh, k, scheme, coeff)
+    fixed = {InterpKind.MINUS: 0, InterpKind.PLUS: k + 1, InterpKind.PLUS_MINUS: k}
+    for kind in InterpKind:
+        dropped = auto_interp_kinds(part, coeff) if kind is InterpKind.AUTO else fixed[kind]
+        keep = np.arange(k + 2) != np.broadcast_to(dropped, (13,))[:, None]
+        nodes = interpolation_nodes(part, coeff, kind)
+        assert np.array_equal(nodes.s, part.ref_points[keep].reshape(13, k + 1))
+        assert np.array_equal(nodes.x, mesh.centers[:, None] + 0.5 * mesh.sizes[:, None] * nodes.s)
 
 
 def test_interpolation_matches_at_nodes():
@@ -327,6 +356,8 @@ def test_l2_norm_of_constant():
     mesh = build_mesh(4)
     u = _poly(mesh, 1, np.column_stack([np.ones(4), np.zeros(4)]))
     assert broken_norm(u, "l2") == pytest.approx(np.sqrt(2 * np.pi), rel=1e-14)
+    with pytest.raises(ValueError, match="unknown norm kind"):
+        broken_norm(u, "l1")
 
 
 def test_linf_norm_of_constant():

@@ -213,6 +213,8 @@ def test_order_range_rejected():
         make_rule(RuleKind.GAUSS, 0)
     with pytest.raises(InvalidConfigError):
         make_rule(RuleKind.GAUSS, 13)
+    with pytest.raises(InvalidConfigError, match="unknown rule kind"):
+        make_rule("gauss", 2)  # the kind's value, not the kind
 
 
 @pytest.mark.parametrize("warm", [False, True])

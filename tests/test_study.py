@@ -27,6 +27,8 @@ def test_config_validation():
         StudyConfig(fmt="tsv")
     with pytest.raises(InvalidConfigError):
         StudyConfig(tie_break="center")
+    with pytest.raises(InvalidConfigError, match="unknown scheme"):
+        run_single(manufactured_case(1), "xsv", 1, 8, t_final=0.1)
 
 
 def test_config_rejects_repeated_schemes():
@@ -182,6 +184,8 @@ def test_single_resolution_has_empty_order_column():
     lines = text.strip().splitlines()
     assert lines[0] == "scheme,k,n,T,metric,value,order"
     assert all(line.endswith(",") for line in lines[1:])
+    with pytest.raises(InvalidConfigError, match="unknown output format"):
+        render_table(result, "txt")
 
 
 def test_csv_layout_and_orders():
@@ -350,7 +354,9 @@ def test_cli_rejects_non_finite_times(flag, value, capsys):
     assert capsys.readouterr().err.startswith("svkit: ")
 
 
-@pytest.mark.parametrize("line", ["schemes = lsv", "seed = one", "compare_dg = maybe"])
+@pytest.mark.parametrize(
+    "line", ["schemes = lsv", "seed = one", "compare_dg = maybe", "scheme lsv"]
+)
 def test_cli_rejects_bad_config_file(tmp_path, capsys, line):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(f"k = 1\nn = 8\n{line}\n", encoding="utf-8")
@@ -382,6 +388,13 @@ def test_cli_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
     cfg.write_bytes(b"n = 8\xff\n")
     assert main(["--config", str(cfg), "--t-final", "0.01"]) == 1
     assert capsys.readouterr().err.startswith("svkit: ")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_reports_a_blow_up_with_status_2(capsys):
+    # dt = 100/8 is far above the stability limit: the run fails at step 49 of 160.
+    assert main(["--k", "3", "--n", "8", "--dt-factor", "100", "--t-final", "2000"]) == 2
+    assert capsys.readouterr().err.startswith("svkit: time integration blew up")
 
 
 def test_cli_reports_io_error(tmp_path):

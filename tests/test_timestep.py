@@ -75,6 +75,9 @@ def test_nonfinite_detection():
 def test_invalid_spans_rejected():
     with pytest.raises(InvalidConfigError):
         integrate_to(np.ones(2), 1.0, 0.5, 0.1, lambda u, t: u)
+    for dt_nominal in (-0.1, 0.0):
+        with pytest.raises(InvalidConfigError, match="nominal step must be positive"):
+            integrate_to(np.ones(2), 0.0, 0.5, dt_nominal, lambda u, t: u)
     for dt in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(InvalidConfigError):
             rk4_step(np.ones(2), 0.0, dt, lambda u, t: u)
