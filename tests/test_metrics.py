@@ -16,7 +16,13 @@ from svkit.metrics import (
     error_report,
 )
 from svkit.poly import (
-    InterpKind, PiecewisePoly, _nodes_without, auto_interp_kinds, broken_norm, interpolate, interpolation_nodes,
+    InterpKind,
+    PiecewisePoly,
+    _nodes_without,
+    auto_interp_kinds,
+    broken_norm,
+    interpolate,
+    interpolation_nodes,
 )
 from svkit.quadrature import RuleKind, gauss_panel
 

@@ -175,6 +175,7 @@ def test_every_reference_node_set_is_read_only_and_well_separated(code, k):
 @pytest.mark.parametrize("scheme", [Scheme.LSV, Scheme.RSV])
 @pytest.mark.parametrize("k", [1, 2, 5, 12])
 def test_node_sets_are_the_partition_points_less_one(scheme, k):
+    # The reference: mask each element's row of the partition's own points.
     mesh = build_mesh(13, 0.3, seed=k)
     coeff = FluxCoefficient(np.sin, mesh)
     part = build_partition(mesh, k, scheme, coeff)
