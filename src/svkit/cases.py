@@ -8,6 +8,7 @@ advection equation u_t + (alpha u)_x = g.  All callables accept ndarrays.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -60,6 +61,10 @@ class _WaveSource:
     node array seen are kept, keyed by identity, as read-only arrays.  Only
     arrays that own their data and are read-only are kept: a writable array,
     or a view whose base could change under it, is evaluated afresh every call.
+    The source refers to the kept nodes only weakly, and the memo, work arrays
+    included, lives exactly as long as those nodes: once the operator that
+    owns them is gone, a case shared by many runs holds no array of its nodes'
+    size.
 
     Beside them the source keeps two work arrays of the nodes' shape, ``tmp``
     and ``wave``, so that a run of calls on large nodes does not free and
@@ -77,21 +82,26 @@ class _WaveSource:
 
     def __init__(self, factors):
         self._factors = factors
-        self._x = None
+        self._x = None  # a weak reference to the kept nodes
         self._node_values = None
         self._work = None
 
     def _nodes(self, x):
-        if x is self._x and not x.flags.writeable:
+        if self._x is not None and x is self._x() and not x.flags.writeable:
             return self._node_values
         sx, cx = np.sin(x), np.cos(x)
         values = (sx, cx, *self._factors(sx, cx))
         if isinstance(x, np.ndarray) and x.flags.owndata and not x.flags.writeable:
             for value in values:
                 value.setflags(write=False)
-            self._x, self._node_values = x, values
+            self._x, self._node_values = weakref.ref(x, self._forget), values
             self._work = (np.empty_like(sx), np.empty_like(sx))
         return values
+
+    def _forget(self, ref):
+        # Called when kept nodes are collected; a memo moved on to newer nodes stays.
+        if ref is self._x:
+            self._x = self._node_values = self._work = None
 
     def __call__(self, x, t):
         values = self._nodes(x)

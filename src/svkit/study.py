@@ -83,22 +83,27 @@ class StudyConfig:
             raise InvalidConfigError(f"unknown tie break {self.tie_break!r}")
         if self.fmt not in ("csv", "md"):
             raise InvalidConfigError(f"unknown output format {self.fmt!r}")
-        if not isinstance(self.compare_dg, bool):
-            raise InvalidConfigError(f"compare_dg must be True or False, got {self.compare_dg!r}")
         if self.out is not None and not isinstance(self.out, (str, Path)):
             raise InvalidConfigError(f"output path must be a string, got {self.out!r}")
         if not _is_number(self.perturbation):
             raise InvalidConfigError(f"perturbation must be a number, got {self.perturbation!r}")
         # Checked here, before any job runs: a NaN or infinite time would only
         # surface mid-study, or not at all (dt = inf is one step of size T).
-        if not _finite_positive(self.dt_factor):
-            raise InvalidConfigError(f"dt factor must be finite and positive, got {self.dt_factor}")
-        if self.t_final is not None and not _finite_positive(self.t_final):
-            raise InvalidConfigError(f"final time must be finite and positive, got {self.t_final}")
+        _check_run(self.t_final, self.dt_factor, self.compare_dg)
 
 
 def _finite_positive(value) -> bool:
     return _is_number(value) and math.isfinite(value) and value > 0
+
+
+def _check_run(t_final, dt_factor, compare_dg) -> None:
+    """Reject the run settings that a study and a single run share."""
+    if not isinstance(compare_dg, bool):
+        raise InvalidConfigError(f"compare_dg must be True or False, got {compare_dg!r}")
+    if not _finite_positive(dt_factor):
+        raise InvalidConfigError(f"dt factor must be finite and positive, got {dt_factor!r}")
+    if t_final is not None and not _finite_positive(t_final):
+        raise InvalidConfigError(f"final time must be finite and positive, got {t_final!r}")
 
 
 @dataclass
@@ -131,6 +136,7 @@ def run_single(
     scheme = scheme.lower()
     if scheme not in SCHEME_NAMES:
         raise InvalidConfigError(f"unknown scheme {scheme!r}")
+    _check_run(t_final, dt_factor, compare_dg)
     mesh = build_mesh(n, perturbation, seed=seed)
     coeff = FluxCoefficient(case.alpha, mesh)
     t_end = case.t_final if t_final is None else float(t_final)
@@ -147,11 +153,13 @@ def run_single(
 
     u0 = interpolate(case.u0, partition, coeff, InterpKind.AUTO)
     u_end = integrate_to(u0, 0.0, t_end, dt, operator)
+    # Dropping each operator once it has stepped frees its nodes, and with them
+    # the source's per-node arrays, before the report samples the solution.
+    del operator
 
     u_dg_end = None
     if compare_dg and scheme != "dg":
-        dg_operator = DGOperator(mesh, k, coeff, case.source)
-        u_dg_end = integrate_to(u0, 0.0, t_end, dt, dg_operator)
+        u_dg_end = integrate_to(u0, 0.0, t_end, dt, DGOperator(mesh, k, coeff, case.source))
 
     return error_report(
         u_end,

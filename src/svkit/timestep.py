@@ -56,11 +56,14 @@ def integrate_to(u0, t0: float, t_final: float, dt_nominal: float, rhs):
     n_steps = max(1, math.ceil(span / dt_nominal - 1e-9))
     u = u0
     t = t0
-    for m in range(n_steps):
-        t_next = t0 + (m + 1) * dt_nominal if m < n_steps - 1 else t_final
-        try:
-            u = rk4_step(u, t, t_next - t, rhs)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"{exc} (step {m + 1} of {n_steps})") from None
-        t = t_next
+    # A blow-up overflows before the step's finite check catches it; that check
+    # names the step, so numpy's own overflow warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(n_steps):
+            t_next = t0 + (m + 1) * dt_nominal if m < n_steps - 1 else t_final
+            try:
+                u = rk4_step(u, t, t_next - t, rhs)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{exc} (step {m + 1} of {n_steps})") from None
+            t = t_next
     return u

@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import svkit.study
 from svkit.cases import CaseSpec, manufactured_case
 from svkit.exceptions import UnknownCaseError
+from svkit.study import run_single
 
 
 @pytest.mark.parametrize("case_id", ["example1", "example2", 1, 2, "1", "2"])
@@ -137,15 +142,13 @@ def test_source_memo_never_serves_stale_nodes(case_id):
     _assert_matches_closed_form(case_id, case.source(first, 0.3), first, 0.3)
 
 
-@pytest.mark.parametrize("case_id", ["example1", "example2"])
-def test_read_only_nodes_take_sin_and_cos_once(case_id, monkeypatch):
-    case = manufactured_case(case_id)
-    x = _frozen(np.random.default_rng(8).uniform(0.0, 2 * np.pi, (10, 3, 4)))
+def _count_sin_and_cos(monkeypatch, shape):
+    # np.sin and np.cos calls on arrays of the nodes' shape, from here on.
     calls = {"sin": 0, "cos": 0}
 
     def counting(name, fn):
         def wrapped(arg, *args, **kwargs):
-            if np.shape(arg) == x.shape:
+            if np.shape(arg) == shape:
                 calls[name] += 1
             return fn(arg, *args, **kwargs)
 
@@ -153,9 +156,69 @@ def test_read_only_nodes_take_sin_and_cos_once(case_id, monkeypatch):
 
     monkeypatch.setattr(np, "sin", counting("sin", np.sin))
     monkeypatch.setattr(np, "cos", counting("cos", np.cos))
+    return calls
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+def test_read_only_nodes_take_sin_and_cos_once(case_id, monkeypatch):
+    case = manufactured_case(case_id)
+    x = _frozen(np.random.default_rng(8).uniform(0.0, 2 * np.pi, (10, 3, 4)))
+    calls = _count_sin_and_cos(monkeypatch, x.shape)
     case.source(x, 0.25)
     case.source(x, 0.5)
     assert calls == {"sin": 1, "cos": 1}
+
+
+# -- the memo lives as long as its nodes ---------------------------------------
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+def test_memo_is_dropped_with_its_nodes(case_id):
+    case = manufactured_case(case_id)
+    x = _frozen(np.random.default_rng(12).uniform(0.0, 2 * np.pi, (10, 3, 4)))
+    case.source(x, 0.25)
+    sin_x = weakref.ref(case.source._nodes(x)[0])
+    del x
+    gc.collect()
+    assert sin_x() is None
+    assert case.source._work is None
+
+
+@pytest.mark.parametrize("case_id", ["example1", "example2"])
+def test_collecting_older_nodes_keeps_the_newer_memo(case_id, monkeypatch):
+    case = manufactured_case(case_id)
+    rng = np.random.default_rng(13)
+    first = _frozen(rng.uniform(0.0, 2 * np.pi, (10, 3, 4)))
+    second = _frozen(rng.uniform(0.0, 2 * np.pi, (10, 3, 4)))
+    case.source(first, 0.25)
+    # Held here, the first memo's weak reference still calls back when its
+    # nodes are collected, after the memo has moved on to the second nodes.
+    first_ref = case.source._x
+    ref = {t: _expression_source(case_id, second, t) for t in (0.5, 0.75)}
+    calls = _count_sin_and_cos(monkeypatch, second.shape)
+    case.source(second, 0.25)
+    del first
+    gc.collect()
+    assert first_ref() is None
+    for t in (0.5, 0.75):
+        assert np.array_equal(case.source(second, t), ref[t])
+    assert calls == {"sin": 1, "cos": 1}
+
+
+def test_a_finished_run_leaves_no_node_arrays_in_its_case(monkeypatch):
+    case = manufactured_case(1)
+    held_at_report = []
+
+    def report(*args, **kwargs):
+        source = case.source
+        held_at_report.append((source._x, source._node_values, source._work))
+        return error_report(*args, **kwargs)
+
+    error_report = svkit.study.error_report
+    monkeypatch.setattr(svkit.study, "error_report", report)
+    run_single(case, "rsv", 3, 64, t_final=0.1, compare_dg=True)
+    assert held_at_report == [(None, None, None)]
+    assert (case.source._x, case.source._node_values, case.source._work) == (None, None, None)
 
 
 # -- in-place sources against the expressions they replace ---------------------

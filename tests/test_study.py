@@ -29,6 +29,14 @@ def test_config_validation():
         StudyConfig(tie_break="center")
     with pytest.raises(InvalidConfigError, match="unknown scheme"):
         run_single(manufactured_case(1), "xsv", 1, 8, t_final=0.1)
+    with pytest.raises(InvalidConfigError, match="final time must be finite and positive"):
+        run_single(manufactured_case(1), "rsv", 1, 8, t_final="x")
+    with pytest.raises(InvalidConfigError, match="final time must be finite and positive"):
+        run_single(manufactured_case(1), "rsv", 1, 8, t_final=True)
+    with pytest.raises(InvalidConfigError, match="dt factor must be finite and positive"):
+        run_single(manufactured_case(1), "rsv", 1, 8, t_final=0.1, dt_factor="x")
+    with pytest.raises(InvalidConfigError, match="compare_dg must be True or False"):
+        run_single(manufactured_case(1), "rsv", 1, 8, t_final=0.1, compare_dg="no")
 
 
 def test_config_rejects_repeated_schemes():
@@ -390,9 +398,10 @@ def test_cli_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("svkit: ")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_reports_a_blow_up_with_status_2(capsys):
     # dt = 100/8 is far above the stability limit: the run fails at step 49 of 160.
+    # The step's finite check reports it; numpy's overflow warnings stay silent.
     assert main(["--k", "3", "--n", "8", "--dt-factor", "100", "--t-final", "2000"]) == 2
     assert capsys.readouterr().err.startswith("svkit: time integration blew up")
 
