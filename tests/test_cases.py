@@ -7,7 +7,6 @@ import pytest
 import svkit.study
 from svkit.cases import CaseSpec, manufactured_case
 from svkit.exceptions import UnknownCaseError
-from svkit.study import run_single
 
 
 @pytest.mark.parametrize("case_id", ["example1", "example2", 1, 2, "1", "2"])
@@ -207,6 +206,7 @@ def test_collecting_older_nodes_keeps_the_newer_memo(case_id, monkeypatch):
 
 def test_a_finished_run_leaves_no_node_arrays_in_its_case(monkeypatch):
     case = manufactured_case(1)
+    error_report = svkit.study.error_report
     held_at_report = []
 
     def report(*args, **kwargs):
@@ -214,9 +214,8 @@ def test_a_finished_run_leaves_no_node_arrays_in_its_case(monkeypatch):
         held_at_report.append((source._x, source._node_values, source._work))
         return error_report(*args, **kwargs)
 
-    error_report = svkit.study.error_report
     monkeypatch.setattr(svkit.study, "error_report", report)
-    run_single(case, "rsv", 3, 64, t_final=0.1, compare_dg=True)
+    svkit.study.run_single(case, "rsv", 3, 64, t_final=0.1, compare_dg=True)
     assert held_at_report == [(None, None, None)]
     assert (case.source._x, case.source._node_values, case.source._work) == (None, None, None)
 
